@@ -426,9 +426,9 @@ impl SharedQueue {
     /// `Ok(false)` without writing if `generation` is superseded: a
     /// replaced worker must not publish a state file (or clear the
     /// buffer) that its replacement's respawn sequence no longer
-    /// accounts for. The write is short (a rename-into-place of an
-    /// already-encoded blob) and happens only at tick boundaries, so
-    /// holding the lock across it is acceptable.
+    /// accounts for. The write is short (one in-place slot write plus
+    /// fsync of an already-encoded blob) and happens only at tick
+    /// boundaries, so holding the lock across it is acceptable.
     pub fn commit_snapshot<E>(
         &self,
         generation: u64,

@@ -4,21 +4,38 @@
 //! counters — plus the decision-log truncation that squares the log
 //! with the snapshot after a crash.
 //!
-//! A tenant file is written atomically (`.tmp` + rename, directory
-//! fsync) via the PR-5 checkpoint machinery, and only at tick
-//! boundaries, so every file on disk is internally consistent: the
-//! engine round, the highwater map, and the counters all describe the
-//! same instant. The decision log is flushed *before* the snapshot is
-//! written, so a snapshot at round `r` implies rounds `1..=r` are in
-//! the log; anything after `r` (including a torn final line) is
-//! regenerated deterministically by the replayed stream and is
-//! truncated away on restore.
+//! This module is the only code that knows how tenant state sits on
+//! disk. Each tenant owns two fixed slot files, `tenantN.tbsn` and
+//! `tenantN.tbsn.b`. A slot holds one frame
+//! ([`tibfit_sim::snapshot::write_framed`]) whose payload is
+//! `seq (u64 LE) · state bytes`, so the sequence number and the state
+//! are covered by one CRC. A write (`StateFile::write`) overwrites the
+//! slot that does *not* hold the newest valid state, in place at offset
+//! 0, then fsyncs it: no create, rename or unlink. Restore takes the
+//! valid slot with the highest `seq`, so a torn write leaves the other
+//! slot — the previous state — in charge: old or new, never a mix. A
+//! slot whose frame is whole but whose state is empty means "no state"
+//! (the seed written when the slots are created, and
+//! `clear_tenant_state`'s tombstone). A state dir from before the
+//! slots holds one bare container in `tenantN.tbsn`; it reads as
+//! `seq` 0.
+//!
+//! Snapshots are taken only at tick boundaries, so every slot is
+//! internally consistent: the engine round, the highwater map, and the
+//! counters all describe the same instant. The decision log is flushed
+//! *before* the snapshot is written, so a snapshot at round `r` implies
+//! rounds `1..=r` are in the log; anything after `r` (including a torn
+//! final line) is regenerated deterministically by the replayed stream
+//! and is truncated away on restore.
 
-use std::io::Write;
+use std::fs::{File, OpenOptions};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use tibfit_experiments::checkpoint::{read_checkpoint, write_checkpoint, CheckpointError};
-use tibfit_sim::snapshot::{SnapshotReader, SnapshotWriter};
+use tibfit_experiments::checkpoint::sync_parent_dir;
+use tibfit_sim::snapshot::{
+    read_framed, write_framed, SnapshotError, SnapshotReader, SnapshotWriter, MAGIC,
+};
 
 use crate::queue::QueueStats;
 use crate::tenant::{decision_line_round, EngineKind, Tenant};
@@ -49,10 +66,19 @@ pub struct TenantState {
     pub blob: Vec<u8>,
 }
 
-/// Path of tenant `id`'s state file under `state_dir`.
+/// Path of tenant `id`'s state under `state_dir`: its first slot file,
+/// and the name every other function here takes.
 #[must_use]
 pub fn tenant_state_path(state_dir: &Path, id: usize) -> PathBuf {
     state_dir.join(format!("tenant{id}.tbsn"))
+}
+
+/// The two slot files behind a state path.
+#[must_use]
+pub fn tenant_state_slots(path: &Path) -> [PathBuf; 2] {
+    let mut b = path.as_os_str().to_owned();
+    b.push(".b");
+    [path.to_path_buf(), PathBuf::from(b)]
 }
 
 /// Path of tenant `id`'s decision log under `decisions_dir`.
@@ -137,41 +163,189 @@ pub fn decode_tenant_state(bytes: &[u8]) -> Result<TenantState, DaemonError> {
     })
 }
 
-/// Writes a tenant state file atomically.
-///
-/// # Errors
-///
-/// [`DaemonError::Checkpoint`] on I/O failure.
-pub fn write_tenant_state(path: &Path, bytes: &[u8]) -> Result<(), DaemonError> {
-    write_checkpoint(path, bytes).map_err(DaemonError::Checkpoint)
+/// Both slots of one state path, read once.
+struct Slots {
+    files: [Option<File>; 2],
+    /// Index, `seq` and state bytes of the newest valid slot.
+    newest: Option<(usize, u64, Vec<u8>)>,
+    /// Slot files that exist and hold at least one byte.
+    nonempty: usize,
 }
 
-/// Reads a tenant state file. `Ok(None)` if it does not exist.
+fn read_slots(path: &Path, options: &OpenOptions) -> Result<Slots, DaemonError> {
+    let mut slots = Slots {
+        files: [None, None],
+        newest: None,
+        nonempty: 0,
+    };
+    for (i, slot_path) in tenant_state_slots(path).iter().enumerate() {
+        let mut file = match options.open(slot_path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+            Err(e) => return Err(DaemonError::Io(e)),
+        };
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes).map_err(DaemonError::Io)?;
+        if !bytes.is_empty() {
+            slots.nonempty += 1;
+            if let Some((seq, state)) = parse_slot(bytes) {
+                if slots.newest.as_ref().is_none_or(|n| seq > n.1) {
+                    slots.newest = Some((i, seq, state));
+                }
+            }
+        }
+        slots.files[i] = Some(file);
+    }
+    Ok(slots)
+}
+
+/// `(seq, state)` of a whole slot frame; `None` for a torn or corrupt
+/// one. A bare container from before the slots reads as `seq` 0.
+fn parse_slot(bytes: Vec<u8>) -> Option<(u64, Vec<u8>)> {
+    if bytes.starts_with(&MAGIC) {
+        return Some((0, bytes));
+    }
+    let mut payload = read_framed(&mut bytes.as_slice(), bytes.len() as u64).ok()?;
+    let seq = u64::from_le_bytes(*payload.first_chunk::<8>()?);
+    payload.drain(..8);
+    Some((seq, payload))
+}
+
+/// A tenant's two state slots, open for writing. Opening reads both
+/// slots once; from then on each [`write`](Self::write) is one
+/// in-place write plus one fsync.
+pub(crate) struct StateFile {
+    files: [File; 2],
+    /// Index and `seq` of the newest valid slot.
+    newest: Option<(usize, u64)>,
+}
+
+impl StateFile {
+    /// Opens (creating if needed) the slots behind `path`. While a slot
+    /// file is still empty (new) the directory is fsynced; when both
+    /// are, slot 0 is seeded with an empty state so even the first real
+    /// write has an older slot to fall back on.
+    ///
+    /// # Errors
+    ///
+    /// [`DaemonError::Io`] on any filesystem failure.
+    pub(crate) fn open(path: &Path) -> Result<Self, DaemonError> {
+        if let Some(parent) = path.parent() {
+            if !parent.as_os_str().is_empty() {
+                std::fs::create_dir_all(parent).map_err(DaemonError::Io)?;
+            }
+        }
+        let slots = read_slots(path, OpenOptions::new().read(true).write(true).create(true))?;
+        let [Some(a), Some(b)] = slots.files else {
+            return Err(DaemonError::State(format!(
+                "{}: a state slot vanished while being created",
+                path.display()
+            )));
+        };
+        if slots.nonempty < 2 {
+            sync_parent_dir(path).map_err(DaemonError::Io)?;
+        }
+        let mut file = StateFile {
+            files: [a, b],
+            newest: slots.newest.map(|(i, seq, _)| (i, seq)),
+        };
+        if slots.nonempty == 0 {
+            file.write(&[])?;
+        }
+        Ok(file)
+    }
+
+    /// Durably replaces the tenant state with `state`: frames it with
+    /// the next `seq`, overwrites the slot not holding the newest
+    /// state, and fsyncs that slot.
+    ///
+    /// # Errors
+    ///
+    /// [`DaemonError::Io`] on any filesystem failure; the newest slot
+    /// is untouched, so the previous state stays readable.
+    pub(crate) fn write(&mut self, state: &[u8]) -> Result<(), DaemonError> {
+        let (slot, seq) = match self.newest {
+            Some((i, seq)) => (1 - i, seq + 1),
+            None => (0, 0),
+        };
+        let mut payload = Vec::with_capacity(8 + state.len());
+        payload.extend_from_slice(&seq.to_le_bytes());
+        payload.extend_from_slice(state);
+        let mut frame = Vec::with_capacity(payload.len() + 16);
+        write_framed(&mut frame, &payload).map_err(|e| DaemonError::State(e.to_string()))?;
+        let mut f = &self.files[slot];
+        f.seek(SeekFrom::Start(0)).map_err(DaemonError::Io)?;
+        f.write_all(&frame).map_err(DaemonError::Io)?;
+        f.sync_all().map_err(DaemonError::Io)?;
+        self.newest = Some((slot, seq));
+        Ok(())
+    }
+}
+
+/// Writes a tenant's state durably: `StateFile::open` plus one
+/// `StateFile::write`.
 ///
 /// # Errors
 ///
-/// [`DaemonError::Checkpoint`] on I/O failure, [`DaemonError::Snapshot`]
-/// on corruption.
+/// [`DaemonError::Io`] on I/O failure.
+pub fn write_tenant_state(path: &Path, bytes: &[u8]) -> Result<(), DaemonError> {
+    StateFile::open(path)?.write(bytes)
+}
+
+/// Replaces a tenant's state with "no state", so the next restore
+/// starts fresh. A tenant with no slot files is left as it is.
+///
+/// # Errors
+///
+/// [`DaemonError::Io`] on I/O failure.
+pub(crate) fn clear_tenant_state(path: &Path) -> Result<(), DaemonError> {
+    if tenant_state_slots(path).iter().any(|p| p.exists()) {
+        StateFile::open(path)?.write(&[])?;
+    }
+    Ok(())
+}
+
+/// The newest valid state bytes behind `path`, undecoded. `Ok(None)`
+/// if there is no state.
+///
+/// # Errors
+///
+/// [`DaemonError::Io`] on I/O failure; [`DaemonError::Snapshot`] when
+/// slot files exist but none holds a whole frame.
+pub(crate) fn read_tenant_state_bytes(path: &Path) -> Result<Option<Vec<u8>>, DaemonError> {
+    let slots = read_slots(path, OpenOptions::new().read(true))?;
+    match slots.newest {
+        Some((_, _, state)) => Ok((!state.is_empty()).then_some(state)),
+        None if slots.nonempty > 0 => Err(DaemonError::Snapshot(SnapshotError::Invalid(
+            "no state slot holds a whole frame",
+        ))),
+        None => Ok(None),
+    }
+}
+
+/// Reads and decodes a tenant's newest valid state. `Ok(None)` if
+/// there is none.
+///
+/// # Errors
+///
+/// [`DaemonError::Io`] on I/O failure, [`DaemonError::Snapshot`] on
+/// corruption (every slot torn, or the newest state undecodable).
 pub fn read_tenant_state(path: &Path) -> Result<Option<TenantState>, DaemonError> {
-    let bytes = match read_checkpoint(path) {
-        Ok(b) => b,
-        Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(None)
-        }
-        Err(e) => return Err(DaemonError::Checkpoint(e)),
-    };
-    decode_tenant_state(&bytes).map(Some)
+    read_tenant_state_bytes(path)?
+        .map(|bytes| decode_tenant_state(&bytes))
+        .transpose()
 }
 
 /// Truncates a decision log to rounds `<= round`: keeps the longest
-/// prefix of well-formed, strictly increasing decision lines ending at
-/// or before `round`, drops everything after — later rounds a dead
-/// incarnation got ahead on, and any torn final line. Missing file is
-/// treated as an empty log. Returns how many lines were kept.
+/// prefix of well-formed, newline-terminated, strictly increasing
+/// decision lines ending at or before `round`, drops everything after
+/// — later rounds a dead incarnation got ahead on, and any torn final
+/// line. Missing file is treated as an empty log. Returns how many
+/// lines were kept.
 ///
-/// The rewrite goes through a `.tmp` + rename so a crash mid-truncation
-/// leaves either the old or the new log, both of which re-truncate
-/// cleanly on the next start.
+/// The cut is one `set_len` to the kept prefix's byte length plus an
+/// fsync, so a crash mid-truncation leaves either the old or the new
+/// log, both of which re-truncate cleanly on the next start.
 ///
 /// # Errors
 ///
@@ -182,32 +356,33 @@ pub fn truncate_decision_log(path: &Path, round: u64) -> Result<u64, DaemonError
             std::fs::create_dir_all(parent).map_err(DaemonError::Io)?;
         }
     }
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(DaemonError::Io(e)),
-    };
-    let mut kept = String::with_capacity(text.len());
+    let mut file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(path)
+        .map_err(DaemonError::Io)?;
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes).map_err(DaemonError::Io)?;
+    let mut kept_len = 0usize;
     let mut kept_lines = 0u64;
     let mut last_round = 0u64;
-    for line in text.lines() {
-        match decision_line_round(line) {
+    for line in bytes.split_inclusive(|&b| b == b'\n') {
+        let Some(text) = line.strip_suffix(b"\n") else {
+            break;
+        };
+        match std::str::from_utf8(text).ok().and_then(decision_line_round) {
             Some(r) if r <= round && r > last_round => {
-                kept.push_str(line);
-                kept.push('\n');
+                kept_len += line.len();
                 kept_lines += 1;
                 last_round = r;
             }
             _ => break,
         }
     }
-    let tmp = path.with_extension("log.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp).map_err(DaemonError::Io)?;
-        f.write_all(kept.as_bytes()).map_err(DaemonError::Io)?;
-        f.sync_all().map_err(DaemonError::Io)?;
-    }
-    std::fs::rename(&tmp, path).map_err(DaemonError::Io)?;
+    file.set_len(kept_len as u64).map_err(DaemonError::Io)?;
+    file.sync_all().map_err(DaemonError::Io)?;
     Ok(kept_lines)
 }
 
@@ -289,6 +464,138 @@ mod tests {
             decode_tenant_state(&bytes),
             Err(DaemonError::Snapshot(_))
         ));
+    }
+
+    /// Encoded state of a fresh 16-node tenant after `rounds` reports.
+    fn state_at(rounds: u64) -> Vec<u8> {
+        let sc = scenario(7);
+        let mut tenant = Tenant::new(0, sc.clone(), EngineKind::Sequential, 1).unwrap();
+        for (i, p) in sc.events(rounds as usize).into_iter().enumerate() {
+            tenant.apply(&crate::wire::Report {
+                tenant: 0,
+                time: i as u64,
+                src: 0,
+                seq: i as u64 + 1,
+                x: p.x,
+                y: p.y,
+            });
+        }
+        encode_tenant_state(&tenant, &[(0, rounds)], QueueStats::default()).unwrap()
+    }
+
+    fn restored_round(path: &Path) -> Option<u64> {
+        read_tenant_state(path).unwrap().map(|s| s.round)
+    }
+
+    fn flip_byte(path: &Path, at: usize) {
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[at] ^= 0x40;
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    #[test]
+    fn torn_or_flipped_newest_slot_restores_the_previous_state() {
+        let dir = tempdir("torn");
+        let path = tenant_state_path(&dir, 0);
+        let [a, b] = tenant_state_slots(&path);
+        // Opening seeds slot a with "no state"; the writes then
+        // alternate b (round 2), a (round 4).
+        let mut file = StateFile::open(&path).unwrap();
+        file.write(&state_at(2)).unwrap();
+        file.write(&state_at(4)).unwrap();
+        drop(file);
+        assert_eq!(restored_round(&path), Some(4));
+        let newest = std::fs::read(&a).unwrap();
+
+        // A torn write: only a prefix of the newest frame reached disk.
+        let f = OpenOptions::new().write(true).open(&a).unwrap();
+        f.set_len(newest.len() as u64 / 2).unwrap();
+        assert_eq!(restored_round(&path), Some(2));
+
+        // A flipped bit anywhere in the frame (magic, length, seq,
+        // state, CRC) is just as torn.
+        for at in [0, 5, 13, newest.len() / 2, newest.len() - 1] {
+            std::fs::write(&a, &newest).unwrap();
+            flip_byte(&a, at);
+            assert_eq!(restored_round(&path), Some(2), "flip at byte {at}");
+        }
+
+        // The next write goes over the torn slot, never the good one.
+        write_tenant_state(&path, &state_at(6)).unwrap();
+        assert_eq!(restored_round(&path), Some(6));
+        flip_byte(&a, newest.len() / 2);
+        assert_eq!(restored_round(&path), Some(2));
+        assert!(b.exists());
+    }
+
+    #[test]
+    fn a_torn_first_write_restores_as_no_state() {
+        let dir = tempdir("first");
+        let path = tenant_state_path(&dir, 0);
+        let [_, b] = tenant_state_slots(&path);
+        write_tenant_state(&path, &state_at(3)).unwrap();
+        assert_eq!(restored_round(&path), Some(3));
+        flip_byte(&b, 20);
+        assert_eq!(restored_round(&path), None);
+    }
+
+    #[test]
+    fn every_slot_corrupt_is_a_typed_error_not_a_fresh_start() {
+        let dir = tempdir("corrupt");
+        let path = tenant_state_path(&dir, 0);
+        let [a, b] = tenant_state_slots(&path);
+        write_tenant_state(&path, &state_at(2)).unwrap();
+        write_tenant_state(&path, &state_at(4)).unwrap();
+        flip_byte(&a, 30);
+        flip_byte(&b, 30);
+        assert!(matches!(
+            read_tenant_state(&path),
+            Err(DaemonError::Snapshot(_))
+        ));
+        // One garbage slot and no other is just as unusable.
+        std::fs::remove_file(&b).unwrap();
+        std::fs::write(&a, b"not a state slot").unwrap();
+        assert!(matches!(
+            read_tenant_state(&path),
+            Err(DaemonError::Snapshot(_))
+        ));
+    }
+
+    #[test]
+    fn an_installed_state_wins_by_seq_not_by_round() {
+        let dir = tempdir("install");
+        let path = tenant_state_path(&dir, 0);
+        // Stale slots from an earlier stay, both ahead of the bundle.
+        write_tenant_state(&path, &state_at(5)).unwrap();
+        write_tenant_state(&path, &state_at(6)).unwrap();
+        write_tenant_state(&path, &state_at(2)).unwrap();
+        assert_eq!(restored_round(&path), Some(2));
+        // A bundle with no state clears what is there.
+        clear_tenant_state(&path).unwrap();
+        assert_eq!(restored_round(&path), None);
+        assert_eq!(read_tenant_state_bytes(&path).unwrap(), None);
+        // Clearing a tenant that never had state creates nothing.
+        let other = tenant_state_path(&dir, 1);
+        clear_tenant_state(&other).unwrap();
+        assert!(tenant_state_slots(&other).iter().all(|p| !p.exists()));
+    }
+
+    #[test]
+    fn a_legacy_single_container_file_restores() {
+        let dir = tempdir("legacy");
+        let path = tenant_state_path(&dir, 0);
+        let legacy = state_at(3);
+        std::fs::write(&path, &legacy).unwrap();
+        assert_eq!(
+            read_tenant_state_bytes(&path).unwrap(),
+            Some(legacy.clone())
+        );
+        assert_eq!(restored_round(&path), Some(3));
+        // The first slot write lands beside it, leaving it as the
+        // fallback until the next one.
+        write_tenant_state(&path, &state_at(5)).unwrap();
+        assert_eq!(restored_round(&path), Some(5));
+        assert_eq!(std::fs::read(&path).unwrap(), legacy);
     }
 
     #[test]

@@ -50,8 +50,9 @@ use crate::migrate::{
 };
 use crate::queue::{QueuePolicy, QueueStats, SharedQueue, WorkItem};
 use crate::state::{
-    decision_log_path, decode_tenant_state, encode_tenant_state, read_tenant_state,
-    tenant_state_path, truncate_decision_log, write_tenant_state,
+    clear_tenant_state, decision_log_path, decode_tenant_state, encode_tenant_state,
+    read_tenant_state, read_tenant_state_bytes, tenant_state_path, truncate_decision_log,
+    write_tenant_state, StateFile,
 };
 use crate::tenant::{EngineKind, PositionView, Tenant};
 use crate::wire::{parse_fleet_line, parse_line, FleetMsg, Frame, IngestError, Query, Report};
@@ -226,8 +227,8 @@ impl LogSink {
     /// old incarnation's unflushed buffer is dropped and all its
     /// future writes rejected, while the log file itself stays
     /// untouched for the respawn sequence to truncate. `reopen` then
-    /// picks up the truncated file (a fresh inode — truncation is
-    /// rename-into-place) under yet another epoch.
+    /// appends to the truncated file (cut in place, so no handle may
+    /// stay open across the cut) under yet another epoch.
     fn supersede(&mut self) {
         if let Some(old) = self.file.take() {
             let _ = old.into_parts();
@@ -409,6 +410,8 @@ struct WorkerTask {
     epoch: u64,
     cancel: Arc<AtomicBool>,
     state_path: PathBuf,
+    /// Opened at this incarnation's first snapshot commit.
+    state: Option<StateFile>,
     snapshot_every: u64,
     fault: WorkerFault,
     recovery: Vec<WorkItem>,
@@ -424,7 +427,7 @@ fn lock_sink(sink: &Mutex<LogSink>) -> MutexGuard<'_, LogSink> {
     sink.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn write_snapshot(task: &WorkerTask) -> Result<(), DaemonError> {
+fn write_snapshot(task: &mut WorkerTask) -> Result<(), DaemonError> {
     let (highwater, stats) = task.queue.snapshot_view();
     let bytes = encode_tenant_state(&task.tenant, &highwater, stats)?;
     let mut backoff = JitteredBackoff::new(task.backoff_seed, 2, 64);
@@ -436,7 +439,11 @@ fn write_snapshot(task: &WorkerTask) -> Result<(), DaemonError> {
         // sequence no longer accounts for (it already read the old
         // state file), nor clear the replay its replacement needs.
         match task.queue.commit_snapshot(task.generation, || {
-            write_tenant_state(&task.state_path, &bytes)
+            let file = match &mut task.state {
+                Some(file) => file,
+                none => none.insert(StateFile::open(&task.state_path)?),
+            };
+            file.write(&bytes)
         }) {
             Ok(_committed) => return Ok(()),
             Err(e) if attempts < 3 => {
@@ -588,6 +595,7 @@ fn spawn_incarnation(
         epoch,
         cancel,
         state_path: tenant_state_path(&cfg.state_dir, id),
+        state: None,
         snapshot_every: cfg.snapshot_every,
         fault: cfg.fault_for(id),
         recovery,
@@ -1608,11 +1616,7 @@ fn install_bundle(ctx: &FleetCtx, bundle: MigrationBundle) -> Result<(), Migrate
     if bundle.state_bytes.is_empty() {
         // The source never snapshotted: the replay buffer is the whole
         // history and must rebuild from a fresh engine.
-        match std::fs::remove_file(&path) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(MigrateError::Io(e)),
-        }
+        clear_tenant_state(&path).map_err(|e| state_error("state clear", e))?;
     } else {
         let st = decode_tenant_state(&bundle.state_bytes)
             .map_err(|e| MigrateError::Mismatch(format!("embedded state: {e}")))?;
@@ -1648,6 +1652,15 @@ fn install_bundle(ctx: &FleetCtx, bundle: MigrationBundle) -> Result<(), Migrate
     ctx.fs.migrations_in.fetch_add(1, Ordering::SeqCst);
     ctx.fs.touch();
     Ok(())
+}
+
+/// A state-file failure during migration: I/O stays I/O, anything else
+/// (a corrupt slot) is a mismatch.
+fn state_error(what: &str, e: DaemonError) -> MigrateError {
+    match e {
+        DaemonError::Io(e) => MigrateError::Io(e),
+        e => MigrateError::Mismatch(format!("{what}: {e}")),
+    }
 }
 
 fn wait_drained(queue: &SharedQueue, deadline: Duration) -> bool {
@@ -1717,15 +1730,16 @@ fn migrate_out(ctx: &FleetCtx, tenant: usize, dest: usize) -> Result<(), Migrate
     let scenario = (ctx.cfg.scenario)(tenant_seed(ctx.cfg.master_seed, tenant));
     let state_path = tenant_state_path(&ctx.cfg.state_dir, tenant);
     let outcome = (|| -> Result<(), MigrateError> {
-        let (state_bytes, state_round) = match std::fs::read(&state_path) {
-            Ok(bytes) => {
+        let bytes =
+            read_tenant_state_bytes(&state_path).map_err(|e| state_error("state file", e))?;
+        let (state_bytes, state_round) = match bytes {
+            Some(bytes) => {
                 let st = decode_tenant_state(&bytes)
                     .map_err(|e| MigrateError::Mismatch(format!("state file: {e}")))?;
                 let round = st.round;
                 (bytes, round)
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => (Vec::new(), 0),
-            Err(e) => return Err(MigrateError::Io(e)),
+            None => (Vec::new(), 0),
         };
         let bundle = MigrationBundle {
             tenant,

@@ -167,9 +167,11 @@ pub fn restore_sharded(bytes: &[u8], threads: usize) -> Result<ShardedMultiClust
     )?)
 }
 
-/// Writes a checkpoint atomically: the bytes land in `path.tmp` first
-/// and are renamed over `path`, so a crash mid-write can never leave a
-/// half-written blob where a resume would look for one.
+/// Writes a checkpoint atomically: the bytes land in `path.tmp` first,
+/// are fsynced and renamed over `path`, and the directory is fsynced,
+/// so a crash mid-write can never leave a half-written blob where a
+/// resume would look for one, and a completed write survives power
+/// loss.
 ///
 /// # Errors
 ///
@@ -189,6 +191,28 @@ pub fn write_checkpoint(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
+    sync_parent_dir(path)?;
+    Ok(())
+}
+
+/// Fsyncs the directory holding `path`, making a file created or
+/// renamed there durable. A no-op off Unix, where a directory cannot be
+/// opened as a file.
+///
+/// # Errors
+///
+/// Any I/O error opening or syncing the directory.
+pub fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    #[cfg(unix)]
+    {
+        let dir = match path.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(dir)?.sync_all()?;
+    }
+    #[cfg(not(unix))]
+    let _ = path;
     Ok(())
 }
 

@@ -194,19 +194,39 @@ pub fn read_framed(r: &mut impl Read, max_len: u64) -> Result<Vec<u8>, FrameErro
     Ok(payload)
 }
 
-/// CRC32 (IEEE 802.3, the zlib polynomial), table-driven.
+/// Slicing-by-8 lookup tables: `CRC_TABLES[0]` is the classic
+/// byte-at-a-time table, and `CRC_TABLES[k][b]` is the CRC state after
+/// feeding byte `b` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+/// CRC32 (IEEE 802.3, the zlib polynomial), slicing-by-8: eight bytes
+/// per step through eight independent table lookups, then the tail
+/// byte at a time. Bit-identical to the byte-wise table walk.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc_table();
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -215,10 +235,20 @@ const fn crc_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 /// Builds a snapshot blob: header first, then CRC-framed sections.
@@ -594,6 +624,45 @@ impl SectionReader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The byte-at-a-time table walk `crc32` replaced, kept as its
+    /// reference.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_the_standard_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn slicing_by_8_matches_bytewise_at_every_length_and_offset() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let data: Vec<u8> = (0..4096 + 8)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x.to_le_bytes()[0]
+            })
+            .collect();
+        for len in 0..=4096 {
+            assert_eq!(crc32(&data[..len]), crc32_bytewise(&data[..len]), "len {len}");
+        }
+        for offset in 1..8 {
+            for len in [0, 1, 7, 8, 9, 63, 64, 65, 4095] {
+                let s = &data[offset..offset + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "offset {offset} len {len}");
+            }
+        }
+    }
 
     fn sample_blob() -> Vec<u8> {
         let mut w = SnapshotWriter::new();

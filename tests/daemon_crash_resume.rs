@@ -8,10 +8,12 @@
 //! tests cover the whole stack: argument parsing, signal handlers,
 //! snapshot cadence, log truncation, and dedup-driven re-streaming.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Duration;
+
+use tibfit_daemon::state::{read_tenant_state, tenant_state_path, tenant_state_slots};
 
 const TENANTS: usize = 2;
 
@@ -215,4 +217,111 @@ fn sigterm_drains_cleanly_and_resume_completes() {
     // Resume over the full replay: the drained half dedups away.
     run_ok(&serve_args(replay, &drain_dir_s, &seed_s, "seq"));
     assert_eq!(reference, decisions(&drain_dir));
+}
+
+/// Round `path`'s state restores at (`None` for no state).
+fn restored_round(path: &Path) -> Option<u64> {
+    read_tenant_state(path).expect("state readable").map(|s| s.round)
+}
+
+/// Flips one byte in whichever slot holds `path`'s newest state, and
+/// returns the round restore falls back to.
+fn corrupt_newest_slot(path: &Path) -> Option<u64> {
+    let before = restored_round(path);
+    for slot in tenant_state_slots(path) {
+        let Ok(original) = std::fs::read(&slot) else {
+            continue;
+        };
+        if original.is_empty() {
+            continue;
+        }
+        let mut flipped = original.clone();
+        flipped[original.len() / 2] ^= 0x40;
+        std::fs::write(&slot, &flipped).expect("slot writable");
+        let after = restored_round(path);
+        if after != before {
+            return after;
+        }
+        std::fs::write(&slot, &original).expect("slot writable");
+    }
+    panic!("no slot of {} holds the newest state", path.display());
+}
+
+#[test]
+fn sigkill_then_torn_newest_slot_resumes_from_the_older_slot() {
+    let seed = 960u64;
+    let root = fresh_dir("torn-slot");
+    let replay_path = gen_replay(&root, seed, 30);
+    let replay = replay_path.to_str().unwrap();
+    let seed_s = seed.to_string();
+
+    let ref_dir = root.join("ref");
+    run_ok(&serve_args(replay, ref_dir.to_str().unwrap(), &seed_s, "seq"));
+    let reference = decisions(&ref_dir);
+
+    // Feed 20 of the 30 ticks over stdin with a round probe per tenant
+    // in tick 20, wait for both answers (so the tick-18 snapshots are
+    // on disk), then SIGKILL.
+    let text = std::fs::read_to_string(&replay_path).expect("replay readable");
+    let mut fed = String::new();
+    let mut ticks = 0;
+    for line in text.lines() {
+        if line == "T" {
+            ticks += 1;
+            if ticks == 20 {
+                fed.push_str("Q round 0\nQ round 1\n");
+            }
+        }
+        fed.push_str(line);
+        fed.push('\n');
+        if ticks == 20 {
+            break;
+        }
+    }
+
+    let kill_dir = root.join("killed");
+    let kill_dir_s = kill_dir.to_str().unwrap().to_string();
+    let mut args = serve_args(replay, &kill_dir_s, &seed_s, "seq");
+    args.retain(|a| *a != "--replay" && *a != replay);
+    args.push("--stdin");
+    let mut child = Command::new(bin())
+        .args(&args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("binary spawns");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    stdin.write_all(fed.as_bytes()).expect("write to daemon");
+    stdin.flush().expect("flush");
+    let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut answered = 0;
+    for line in stdout.lines() {
+        if line.expect("daemon stdout").starts_with("A round ") {
+            answered += 1;
+            if answered == 2 {
+                break;
+            }
+        }
+    }
+    assert_eq!(answered, 2, "both tenants must answer before the kill");
+    child.kill().expect("SIGKILL");
+    let _ = child.wait();
+    drop(stdin);
+
+    for t in 0..TENANTS {
+        let path = tenant_state_path(&kill_dir, t);
+        let newest = restored_round(&path).expect("snapshot on disk");
+        let fallback = corrupt_newest_slot(&path).expect("an older snapshot survives");
+        assert!(fallback < newest, "tenant {t}: {fallback} !< {newest}");
+    }
+
+    // Resume over the full replay: the older slot's base plus the
+    // re-streamed ticks regenerate every decision.
+    run_ok(&serve_args(replay, &kill_dir_s, &seed_s, "seq"));
+    assert_eq!(
+        reference,
+        decisions(&kill_dir),
+        "resume from the older slot must be byte-identical"
+    );
 }
