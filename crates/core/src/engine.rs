@@ -3,9 +3,10 @@
 //! common [`Aggregator`] interface so experiments can swap them freely.
 
 use crate::binary::{decide_binary, judge_binary};
-use crate::location::{decide_located, judge_located, LocatedDecision, LocatedReport};
+use crate::location::{decide_located_into, LocatedDecision, LocatedReport, LocatedScratch};
 use crate::trust::{Judgement, TrustParams, TrustTable};
 use crate::vote::{VoteOutcome, Weighting};
+use tibfit_net::geometry::Point;
 use tibfit_net::topology::{NodeId, Topology};
 
 /// Result of one binary decision round.
@@ -29,6 +30,15 @@ pub struct LocatedRound {
 }
 
 impl LocatedRound {
+    /// Copies a decided round out of its scratch.
+    #[must_use]
+    pub fn from_scratch(scratch: &LocatedScratch) -> Self {
+        LocatedRound {
+            decisions: scratch.decisions().map(|d| d.to_decision()).collect(),
+            judgements: scratch.judgements().to_vec(),
+        }
+    }
+
     /// All locations where an event was declared this round.
     #[must_use]
     pub fn declared_locations(&self) -> Vec<tibfit_net::geometry::Point> {
@@ -54,14 +64,32 @@ pub trait Aggregator {
     fn binary_round(&mut self, neighbors: &[NodeId], reporters: &[NodeId]) -> BinaryRound;
 
     /// Runs one §3.2 located round over all reports received in a `T_out`
-    /// window.
+    /// window into caller-owned scratch (see
+    /// [`decide_located_into`]): afterwards `scratch` holds the round's
+    /// decisions and judgements, and a stateful engine has applied the
+    /// judgements. `positions[i]` is node `i`'s position.
+    fn located_round_into(
+        &mut self,
+        positions: &[Point],
+        r_s: f64,
+        r_error: f64,
+        reports: &[LocatedReport],
+        scratch: &mut LocatedScratch,
+    );
+
+    /// [`Aggregator::located_round_into`] with a throwaway scratch,
+    /// returning owned results.
     fn located_round(
         &mut self,
         topo: &Topology,
         r_s: f64,
         r_error: f64,
         reports: &[LocatedReport],
-    ) -> LocatedRound;
+    ) -> LocatedRound {
+        let mut scratch = LocatedScratch::new();
+        self.located_round_into(topo.positions(), r_s, r_error, reports, &mut scratch);
+        LocatedRound::from_scratch(&scratch)
+    }
 
     /// The engine's current trust estimate for a node, if it keeps one.
     fn trust_of(&self, node: NodeId) -> Option<f64>;
@@ -142,22 +170,17 @@ impl Aggregator for TibfitEngine {
         }
     }
 
-    fn located_round(
+    fn located_round_into(
         &mut self,
-        topo: &Topology,
+        positions: &[Point],
         r_s: f64,
         r_error: f64,
         reports: &[LocatedReport],
-    ) -> LocatedRound {
-        let decisions =
-            decide_located(topo, r_s, r_error, reports, &Weighting::Trust(&self.table));
-        let judgements: Vec<(NodeId, Judgement)> =
-            decisions.iter().flat_map(judge_located).collect();
-        self.table.apply_judgements(&judgements);
-        LocatedRound {
-            decisions,
-            judgements,
-        }
+        scratch: &mut LocatedScratch,
+    ) {
+        let weighting = Weighting::Trust(&self.table);
+        decide_located_into(positions, r_s, r_error, reports, &weighting, scratch);
+        self.table.apply_judgements(scratch.judgements());
     }
 
     fn trust_of(&self, node: NodeId) -> Option<f64> {
@@ -196,20 +219,15 @@ impl Aggregator for BaselineEngine {
         }
     }
 
-    fn located_round(
+    fn located_round_into(
         &mut self,
-        topo: &Topology,
+        positions: &[Point],
         r_s: f64,
         r_error: f64,
         reports: &[LocatedReport],
-    ) -> LocatedRound {
-        let decisions = decide_located(topo, r_s, r_error, reports, &Weighting::Uniform);
-        let judgements: Vec<(NodeId, Judgement)> =
-            decisions.iter().flat_map(judge_located).collect();
-        LocatedRound {
-            decisions,
-            judgements,
-        }
+        scratch: &mut LocatedScratch,
+    ) {
+        decide_located_into(positions, r_s, r_error, reports, &Weighting::Uniform, scratch);
     }
 
     fn trust_of(&self, _node: NodeId) -> Option<f64> {

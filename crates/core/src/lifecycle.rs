@@ -21,7 +21,7 @@
 //! Energy is charged per round so leadership rotates realistically.
 
 use crate::engine::{Aggregator, TibfitEngine};
-use crate::location::LocatedReport;
+use crate::location::{LocatedReport, LocatedScratch};
 use crate::shadow::{adjudicate, Adjudication, Conclusion};
 use crate::trust::TrustParams;
 use tibfit_net::energy::{EnergyBudget, EnergyCosts};
@@ -114,6 +114,8 @@ pub struct ClusterLifecycle {
     /// reports nor leads until rebooted.
     crashed: Vec<bool>,
     failovers: u64,
+    /// Decide buffers reused across rounds.
+    located: LocatedScratch,
 }
 
 impl ClusterLifecycle {
@@ -132,6 +134,7 @@ impl ClusterLifecycle {
             handoffs: Vec::new(),
             crashed: vec![false; n],
             failovers: 0,
+            located: LocatedScratch::new(),
             config,
             topo,
         }
@@ -427,16 +430,18 @@ impl ClusterLifecycle {
 
         // The honest computation over the reports (what a correct CH and
         // every SCH obtains).
-        let round = self.engine.located_round(
-            &self.topo,
+        self.engine.located_round_into(
+            self.topo.positions(),
             self.config.sensing_radius,
             self.config.r_error,
             reports,
+            &mut self.located,
         );
-        let honest: Conclusion = round
-            .declared_locations()
-            .first()
-            .map(|&p| Conclusion::event_at(p))
+        let honest: Conclusion = self
+            .located
+            .decisions()
+            .find(|d| d.event_declared)
+            .map(|d| Conclusion::event_at(d.location))
             .unwrap_or_else(Conclusion::no_event);
 
         // A compromised head reports the inverse of its computation.

@@ -14,6 +14,17 @@
 //!
 //! Reports more than `r_error` from the final `cg` are "thrown out" —
 //! their senders are judged faulty even if the event itself is confirmed.
+//!
+//! ## One implementation, caller-owned scratch
+//!
+//! The whole decision runs in [`decide_located_into`], which fills a
+//! [`LocatedScratch`] the caller keeps between rounds: every buffer
+//! (clustering state, the flattened R/NR/outlier lists, the neighbor
+//! bitmasks, the batched-weight arena, the judgements) is cleared, never
+//! dropped, so a cluster head that reuses one scratch decides without
+//! touching the allocator once its buffers have grown to the round's
+//! shape. [`cluster_reports`] and [`decide_located`] are thin wrappers
+//! that copy the scratch out into owned values.
 
 use crate::simd_kernel::GroupArena;
 use crate::trust::Judgement;
@@ -48,18 +59,262 @@ pub struct EventCluster {
     pub cg: Point,
 }
 
-impl EventCluster {
-    fn from_members(members: Vec<LocatedReport>) -> Self {
-        let pts: Vec<Point> = members.iter().map(|m| m.location).collect();
-        let cg = Point::centroid(&pts).expect("cluster is non-empty");
-        EventCluster { members, cg }
-    }
-}
-
 /// Maximum refinement rounds before the clustering is forcibly accepted.
 /// K-means-style loops converge in a handful of rounds on sensor-report
 /// inputs; the cap only guards against pathological oscillation.
 const MAX_ROUNDS: usize = 100;
+
+/// One decided event cluster inside a [`LocatedScratch`]: its candidate
+/// location, vote weights, and the end offsets of its slices in the
+/// scratch's flattened node lists (each slice starts where the previous
+/// decision's ended).
+#[derive(Debug, Clone, Copy, Default)]
+struct DecisionSlot {
+    cg: Point,
+    members_end: usize,
+    reporting_weight: f64,
+    non_reporting_weight: f64,
+    r_end: usize,
+    nr_end: usize,
+    outliers_end: usize,
+    non_neighbors_end: usize,
+}
+
+/// Caller-owned, capacity-retaining buffers for one located decision —
+/// see [`decide_located_into`]. After a decision it holds the round's
+/// result: [`LocatedScratch::decisions`] and
+/// [`LocatedScratch::judgements`].
+#[derive(Debug, Default, Clone)]
+pub struct LocatedScratch {
+    centers: Vec<Point>,
+    next_centers: Vec<Point>,
+    center_weights: Vec<f64>,
+    sums: Vec<(f64, f64, u32)>,
+    assignment: Vec<usize>,
+    prev_assignment: Vec<usize>,
+    /// The reports bucketed by event cluster, cluster-major, report
+    /// order within a cluster.
+    members: Vec<LocatedReport>,
+    decisions: Vec<DecisionSlot>,
+    neighbors: Vec<NodeId>,
+    reporters: Vec<NodeId>,
+    non_reporters: Vec<NodeId>,
+    outliers: Vec<NodeId>,
+    non_neighbors: Vec<NodeId>,
+    /// One bit per local id: event neighbor of the current `cg`. All
+    /// zero between clusters.
+    neighbor_mask: Vec<u64>,
+    /// One bit per local id: supports the current cluster. All zero
+    /// between clusters.
+    support_mask: Vec<u64>,
+    arena: GroupArena,
+    weights: Vec<f64>,
+    judgements: Vec<(NodeId, Judgement)>,
+}
+
+/// A borrowed view of one decision held in a [`LocatedScratch`] — the
+/// same facts as a [`LocatedDecision`], without the owned vectors.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DecisionView<'a> {
+    /// The candidate (and, if declared, final) event location.
+    pub location: Point,
+    /// Whether the event was declared at this location.
+    pub event_declared: bool,
+    /// Cumulative weight of the reporting group `R`.
+    pub reporting_weight: f64,
+    /// Cumulative weight of the non-reporting group `NR`.
+    pub non_reporting_weight: f64,
+    /// The reporting group `R` (event-neighbor order).
+    pub reporters: &'a [NodeId],
+    /// The non-reporting group `NR` (event-neighbor order).
+    pub non_reporters: &'a [NodeId],
+    /// Members thrown out for reporting more than `r_error` from `cg`.
+    pub outliers: &'a [NodeId],
+    /// Members that are not event neighbors of `cg`.
+    pub non_neighbor_reporters: &'a [NodeId],
+}
+
+impl DecisionView<'_> {
+    /// The owned form.
+    #[must_use]
+    pub fn to_decision(&self) -> LocatedDecision {
+        LocatedDecision {
+            location: self.location,
+            event_declared: self.event_declared,
+            vote: VoteOutcome {
+                event_declared: self.event_declared,
+                reporting_weight: self.reporting_weight,
+                non_reporting_weight: self.non_reporting_weight,
+                reporters: self.reporters.to_vec(),
+                non_reporters: self.non_reporters.to_vec(),
+            },
+            outliers: self.outliers.to_vec(),
+            non_neighbor_reporters: self.non_neighbor_reporters.to_vec(),
+        }
+    }
+}
+
+impl LocatedScratch {
+    /// Empty scratch; buffers grow on first use and are kept.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Makes room for a decision over `nodes` local nodes and as many
+    /// reports without a further allocation. The R/NR groups and the
+    /// judgements of one window scale with the number of event clusters
+    /// times their neighborhoods, so those get twice the room.
+    pub fn reserve(&mut self, nodes: usize) {
+        self.centers.reserve(nodes);
+        self.next_centers.reserve(nodes);
+        self.center_weights.reserve(nodes);
+        self.sums.reserve(nodes);
+        self.assignment.reserve(nodes);
+        self.prev_assignment.reserve(nodes);
+        self.members.reserve(nodes);
+        self.decisions.reserve(nodes);
+        self.neighbors.reserve(nodes);
+        self.outliers.reserve(nodes);
+        self.non_neighbors.reserve(nodes);
+        self.reporters.reserve(2 * nodes);
+        self.non_reporters.reserve(2 * nodes);
+        self.neighbor_mask.reserve(nodes.div_ceil(64));
+        self.support_mask.reserve(nodes.div_ceil(64));
+        self.arena.reserve(4 * nodes, 2 * nodes);
+        self.weights.reserve(2 * nodes);
+        self.judgements.reserve(3 * nodes);
+    }
+
+    /// The decisions of the last [`decide_located_into`] call, one per
+    /// event cluster, in cluster order.
+    pub fn decisions(&self) -> impl ExactSizeIterator<Item = DecisionView<'_>> + '_ {
+        let mut prev = DecisionSlot::default();
+        self.decisions.iter().map(move |d| {
+            let view = DecisionView {
+                location: d.cg,
+                event_declared: d.reporting_weight > d.non_reporting_weight,
+                reporting_weight: d.reporting_weight,
+                non_reporting_weight: d.non_reporting_weight,
+                reporters: &self.reporters[prev.r_end..d.r_end],
+                non_reporters: &self.non_reporters[prev.nr_end..d.nr_end],
+                outliers: &self.outliers[prev.outliers_end..d.outliers_end],
+                non_neighbor_reporters: &self.non_neighbors[prev.non_neighbors_end..d.non_neighbors_end],
+            };
+            prev = *d;
+            view
+        })
+    }
+
+    /// The judgements of the last [`decide_located_into`] call: every
+    /// decision's [`judge_located`] output, concatenated in decision
+    /// order — the order a trust table must apply them in.
+    #[must_use]
+    pub fn judgements(&self) -> &[(NodeId, Judgement)] {
+        &self.judgements
+    }
+
+    /// The event clusters found by the last clustering pass, as
+    /// `(cg, members)` in cluster order.
+    fn clusters(&self) -> impl Iterator<Item = (Point, &[LocatedReport])> + '_ {
+        let mut start = 0;
+        self.decisions.iter().map(move |d| {
+            let members = &self.members[start..d.members_end];
+            start = d.members_end;
+            (d.cg, members)
+        })
+    }
+
+    /// Closes the event cluster `members[start..]` (if non-empty) at its
+    /// center of gravity.
+    fn close_cluster(&mut self, start: usize) {
+        let members = &self.members[start..];
+        if members.is_empty() {
+            return;
+        }
+        // The same left-to-right fold as `Point::centroid`.
+        let n = members.len() as f64;
+        let (sx, sy) = members
+            .iter()
+            .fold((0.0, 0.0), |(sx, sy), m| (sx + m.location.x, sy + m.location.y));
+        self.decisions.push(DecisionSlot {
+            cg: Point::new(sx / n, sy / n),
+            members_end: self.members.len(),
+            ..DecisionSlot::default()
+        });
+    }
+
+    /// Clusters `reports` into `members`/`decisions` (see
+    /// [`cluster_reports`] for the heuristic).
+    fn cluster(&mut self, reports: &[LocatedReport], r_error: f64) {
+        assert!(
+            r_error.is_finite() && r_error > 0.0,
+            "r_error must be positive, got {r_error}"
+        );
+        self.members.clear();
+        self.decisions.clear();
+        if reports.is_empty() {
+            return;
+        }
+        // Step 1-2: farthest pair as seeds; a tight batch is one cluster.
+        let (i1, i2, max_d) = farthest_pair(reports);
+        if reports.len() == 1 || max_d <= r_error {
+            self.members.extend_from_slice(reports);
+            self.close_cluster(0);
+            return;
+        }
+        self.centers.clear();
+        self.centers.push(reports[i1].location);
+        self.centers.push(reports[i2].location);
+
+        // Step 3: promote far-out reports to centers so every report is
+        // within r_error of at least one center.
+        for rep in reports {
+            let covered = self
+                .centers
+                .iter()
+                .any(|c| c.distance_to(rep.location) <= r_error);
+            if !covered {
+                self.centers.push(rep.location);
+            }
+        }
+
+        // Steps 4-5: assign → recompute cg → merge close centers → repeat.
+        self.prev_assignment.clear();
+        for _ in 0..MAX_ROUNDS {
+            assign_to_nearest(reports, &self.centers, &mut self.assignment);
+            centers_of_gravity(
+                reports,
+                &self.assignment,
+                self.centers.len(),
+                &mut self.sums,
+                &mut self.next_centers,
+                &mut self.center_weights,
+            );
+            merge_close_centers(&mut self.next_centers, &mut self.center_weights, r_error);
+            let stable = self.next_centers.len() == self.centers.len()
+                && self.assignment == self.prev_assignment;
+            std::mem::swap(&mut self.centers, &mut self.next_centers);
+            if stable {
+                break;
+            }
+            std::mem::swap(&mut self.prev_assignment, &mut self.assignment);
+        }
+
+        // Final assignment against the converged centers; empty centers
+        // yield no cluster.
+        assign_to_nearest(reports, &self.centers, &mut self.assignment);
+        for c in 0..self.centers.len() {
+            let start = self.members.len();
+            for (rep, &a) in reports.iter().zip(&self.assignment) {
+                if a == c {
+                    self.members.push(*rep);
+                }
+            }
+            self.close_cluster(start);
+        }
+    }
+}
 
 /// Groups location reports into event clusters (paper §3.2).
 ///
@@ -97,59 +352,14 @@ const MAX_ROUNDS: usize = 100;
 /// ```
 #[must_use]
 pub fn cluster_reports(reports: &[LocatedReport], r_error: f64) -> Vec<EventCluster> {
-    assert!(
-        r_error.is_finite() && r_error > 0.0,
-        "r_error must be positive, got {r_error}"
-    );
-    if reports.is_empty() {
-        return Vec::new();
-    }
-    if reports.len() == 1 {
-        return vec![EventCluster::from_members(reports.to_vec())];
-    }
-
-    // Step 1-2: farthest pair as seeds.
-    let (i1, i2, max_d) = farthest_pair(reports);
-    if max_d <= r_error {
-        return vec![EventCluster::from_members(reports.to_vec())];
-    }
-    let mut centers = vec![reports[i1].location, reports[i2].location];
-
-    // Step 3: promote far-out reports to centers so every report is within
-    // r_error of at least one center.
-    for rep in reports {
-        let covered = centers
-            .iter()
-            .any(|c| c.distance_to(rep.location) <= r_error);
-        if !covered {
-            centers.push(rep.location);
-        }
-    }
-
-    // Steps 4-5: assign → recompute cg → merge close centers → repeat.
-    let mut prev_assignment: Vec<usize> = Vec::new();
-    for _ in 0..MAX_ROUNDS {
-        let assignment = assign_to_nearest(reports, &centers);
-        let (new_centers, weights) = centers_of_gravity(reports, &assignment, centers.len());
-        let merged = merge_close_centers(new_centers, weights, r_error);
-        let stable = merged.len() == centers.len() && assignment == prev_assignment;
-        centers = merged;
-        if stable {
-            break;
-        }
-        prev_assignment = assignment;
-    }
-
-    // Final assignment against the converged centers.
-    let assignment = assign_to_nearest(reports, &centers);
-    let mut buckets: Vec<Vec<LocatedReport>> = vec![Vec::new(); centers.len()];
-    for (rep, &c) in reports.iter().zip(&assignment) {
-        buckets[c].push(*rep);
-    }
-    buckets
-        .into_iter()
-        .filter(|b| !b.is_empty())
-        .map(EventCluster::from_members)
+    let mut scratch = LocatedScratch::new();
+    scratch.cluster(reports, r_error);
+    scratch
+        .clusters()
+        .map(|(cg, members)| EventCluster {
+            members: members.to_vec(),
+            cg,
+        })
         .collect()
 }
 
@@ -167,51 +377,52 @@ fn farthest_pair(reports: &[LocatedReport]) -> (usize, usize, f64) {
     best
 }
 
-fn assign_to_nearest(reports: &[LocatedReport], centers: &[Point]) -> Vec<usize> {
-    reports
-        .iter()
-        .map(|rep| {
-            centers
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| {
-                    a.distance_sq(rep.location)
-                        .partial_cmp(&b.distance_sq(rep.location))
-                        .expect("finite distances")
-                })
-                .map(|(i, _)| i)
-                .expect("at least one center")
-        })
-        .collect()
+fn assign_to_nearest(reports: &[LocatedReport], centers: &[Point], out: &mut Vec<usize>) {
+    out.clear();
+    out.extend(reports.iter().map(|rep| {
+        centers
+            .iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| {
+                a.distance_sq(rep.location)
+                    .partial_cmp(&b.distance_sq(rep.location))
+                    .expect("finite distances")
+            })
+            .map(|(i, _)| i)
+            .expect("at least one center")
+    }));
 }
 
-/// Computes per-center centers of gravity and member counts; empty centers
-/// are dropped.
+/// Computes per-center centers of gravity and member counts into
+/// `centers`/`weights`; empty centers are dropped.
 fn centers_of_gravity(
     reports: &[LocatedReport],
     assignment: &[usize],
     n_centers: usize,
-) -> (Vec<Point>, Vec<f64>) {
-    let mut sums = vec![(0.0f64, 0.0f64, 0u32); n_centers];
+    sums: &mut Vec<(f64, f64, u32)>,
+    centers: &mut Vec<Point>,
+    weights: &mut Vec<f64>,
+) {
+    sums.clear();
+    sums.resize(n_centers, (0.0, 0.0, 0));
     for (rep, &c) in reports.iter().zip(assignment) {
         sums[c].0 += rep.location.x;
         sums[c].1 += rep.location.y;
         sums[c].2 += 1;
     }
-    let mut centers = Vec::new();
-    let mut weights = Vec::new();
-    for (sx, sy, n) in sums {
+    centers.clear();
+    weights.clear();
+    for &(sx, sy, n) in sums.iter() {
         if n > 0 {
             centers.push(Point::new(sx / n as f64, sy / n as f64));
             weights.push(n as f64);
         }
     }
-    (centers, weights)
 }
 
 /// Repeatedly merges the closest pair of centers lying within `r_error`,
 /// replacing them with their weighted average (paper step 5).
-fn merge_close_centers(mut centers: Vec<Point>, mut weights: Vec<f64>, r_error: f64) -> Vec<Point> {
+fn merge_close_centers(centers: &mut Vec<Point>, weights: &mut Vec<f64>, r_error: f64) {
     loop {
         let mut closest: Option<(usize, usize, f64)> = None;
         for i in 0..centers.len() {
@@ -223,7 +434,7 @@ fn merge_close_centers(mut centers: Vec<Point>, mut weights: Vec<f64>, r_error: 
             }
         }
         let Some((i, j, _)) = closest else {
-            return centers;
+            return;
         };
         let merged = Point::weighted_centroid(&[(centers[i], weights[i]), (centers[j], weights[j])])
             .expect("positive weights");
@@ -253,8 +464,14 @@ pub struct LocatedDecision {
     pub non_neighbor_reporters: Vec<NodeId>,
 }
 
+/// `true` if bit `i` of `mask` is set (ids past the mask are clear).
+fn bit(mask: &[u64], i: usize) -> bool {
+    mask.get(i / 64).is_some_and(|w| w & (1 << (i % 64)) != 0)
+}
+
 /// Runs the full §3.2 decision over one batch of reports (one `T_out`
-/// window): cluster, then vote per cluster.
+/// window) into `scratch`: cluster, then vote per cluster, then judge.
+/// `positions[i]` is local node `i`'s position; reports name local ids.
 ///
 /// For each event cluster with center of gravity `cg`:
 ///
@@ -262,6 +479,100 @@ pub struct LocatedDecision {
 ///   neighbors of `cg` (sensing radius `r_s`);
 /// * `NR` = event neighbors of `cg` that did not support the cluster;
 /// * the event is declared at `cg` iff the weighted `R` beats `NR`.
+///
+/// Membership tests go through two local-id bitmasks (event neighbor,
+/// supporter), set and cleared per cluster. All R/NR groups of the window
+/// are weighed in one batched pass
+/// ([`Weighting::group_weights_batch`]); per group the weights are
+/// bit-identical to [`crate::vote::run_vote`]'s (same members, same
+/// order, same normalization), and so is the `ti_reads` total.
+///
+/// # Panics
+///
+/// Panics if `r_s` or `r_error` is not strictly positive.
+pub fn decide_located_into(
+    positions: &[Point],
+    r_s: f64,
+    r_error: f64,
+    reports: &[LocatedReport],
+    weighting: &Weighting<'_>,
+    scratch: &mut LocatedScratch,
+) {
+    assert!(r_s > 0.0, "sensing radius must be positive");
+    scratch.cluster(reports, r_error);
+    let s = scratch;
+    s.reporters.clear();
+    s.non_reporters.clear();
+    s.outliers.clear();
+    s.non_neighbors.clear();
+    s.arena.clear();
+    let words = positions.len().div_ceil(64);
+    if s.neighbor_mask.len() < words {
+        s.neighbor_mask.resize(words, 0);
+        s.support_mask.resize(words, 0);
+    }
+    let r_sq = r_s * r_s;
+    let mut start = 0;
+    for d in 0..s.decisions.len() {
+        let slot = s.decisions[d];
+        // Event neighbors of cg, ascending local id.
+        s.neighbors.clear();
+        for (i, p) in positions.iter().enumerate() {
+            if p.distance_sq(slot.cg) <= r_sq {
+                s.neighbors.push(NodeId(i));
+                s.neighbor_mask[i / 64] |= 1 << (i % 64);
+            }
+        }
+        for m in &s.members[start..slot.members_end] {
+            let i = m.reporter.index();
+            if m.location.distance_to(slot.cg) > r_error {
+                s.outliers.push(m.reporter);
+            } else if bit(&s.neighbor_mask, i) {
+                s.support_mask[i / 64] |= 1 << (i % 64);
+            } else {
+                s.non_neighbors.push(m.reporter);
+            }
+        }
+        start = slot.members_end;
+        // R/NR in neighbor order (supporters ⊆ neighbors by
+        // construction); clearing both masks as we go.
+        let (r0, nr0) = (s.reporters.len(), s.non_reporters.len());
+        for &n in &s.neighbors {
+            let i = n.index();
+            if bit(&s.support_mask, i) {
+                s.reporters.push(n);
+            } else {
+                s.non_reporters.push(n);
+            }
+            s.neighbor_mask[i / 64] &= !(1 << (i % 64));
+            s.support_mask[i / 64] &= !(1 << (i % 64));
+        }
+        s.arena.push_group(&s.reporters[r0..]);
+        s.arena.push_group(&s.non_reporters[nr0..]);
+        let slot = &mut s.decisions[d];
+        slot.r_end = s.reporters.len();
+        slot.nr_end = s.non_reporters.len();
+        slot.outliers_end = s.outliers.len();
+        slot.non_neighbors_end = s.non_neighbors.len();
+    }
+
+    weighting.group_weights_batch(&mut s.arena, &mut s.weights);
+    for (slot, w) in s.decisions.iter_mut().zip(s.weights.chunks_exact(2)) {
+        slot.reporting_weight = w[0];
+        slot.non_reporting_weight = w[1];
+    }
+
+    s.judgements.clear();
+    let mut judgements = std::mem::take(&mut s.judgements);
+    for d in s.decisions() {
+        judgements.extend(judge(&d));
+    }
+    s.judgements = judgements;
+}
+
+/// Runs the full §3.2 decision over one batch of reports and returns
+/// owned decisions — a wrapper over [`decide_located_into`] with a
+/// throwaway scratch.
 ///
 /// # Panics
 ///
@@ -274,102 +585,24 @@ pub fn decide_located(
     reports: &[LocatedReport],
     weighting: &Weighting<'_>,
 ) -> Vec<LocatedDecision> {
-    assert!(r_s > 0.0, "sensing radius must be positive");
-    let clusters = cluster_reports(reports, r_error);
+    let mut scratch = LocatedScratch::new();
+    decide_located_into(topo.positions(), r_s, r_error, reports, weighting, &mut scratch);
+    scratch.decisions().map(|d| d.to_decision()).collect()
+}
 
-    // One batched weighing per T_out window instead of two
-    // `group_weight` calls per cluster: phase 1 partitions every
-    // cluster's neighborhood and stacks the R/NR groups into a reused
-    // index arena, phase 2 weighs them all in one SIMD pass
-    // ([`Weighting::group_weights_batch`]), phase 3 assembles the
-    // decisions. Per group the weights are bit-identical to the
-    // per-cluster path (same members, same order, same normalization),
-    // so the decisions — and `ti_reads` — are unchanged; only the
-    // dispatch is amortized. The scratch is thread-local because the
-    // sharded scheduler's persistent workers call this on every epoch:
-    // after the first window each worker runs allocation-free.
-    struct ClusterParts {
-        cg: Point,
-        outliers: Vec<NodeId>,
-        non_neighbor_reporters: Vec<NodeId>,
-        r: Vec<NodeId>,
-        nr: Vec<NodeId>,
-    }
-    thread_local! {
-        static BATCH_SCRATCH: std::cell::RefCell<(GroupArena, Vec<f64>)> =
-            std::cell::RefCell::new((GroupArena::new(), Vec::new()));
-    }
-
-    let parts: Vec<ClusterParts> = clusters
-        .into_iter()
-        .map(|cluster| {
-            let neighbors = topo.event_neighbors(cluster.cg, r_s);
-            let mut supporters = Vec::new();
-            let mut outliers = Vec::new();
-            let mut non_neighbor_reporters = Vec::new();
-            for m in &cluster.members {
-                if m.location.distance_to(cluster.cg) > r_error {
-                    outliers.push(m.reporter);
-                } else if neighbors.contains(&m.reporter) {
-                    supporters.push(m.reporter);
-                } else {
-                    non_neighbor_reporters.push(m.reporter);
-                }
-            }
-            // The same neighbor-order-preserving partition `run_vote`
-            // performs (supporters ⊆ neighbors by construction).
-            let mut r = Vec::new();
-            let mut nr = Vec::new();
-            for &n in &neighbors {
-                if supporters.contains(&n) {
-                    r.push(n);
-                } else {
-                    nr.push(n);
-                }
-            }
-            ClusterParts {
-                cg: cluster.cg,
-                outliers,
-                non_neighbor_reporters,
-                r,
-                nr,
-            }
-        })
-        .collect();
-
-    let weights: Vec<f64> = BATCH_SCRATCH.with(|scratch| {
-        let (arena, out) = &mut *scratch.borrow_mut();
-        arena.clear();
-        for p in &parts {
-            arena.push_group(&p.r);
-            arena.push_group(&p.nr);
-        }
-        weighting.group_weights_batch(arena, out);
-        out.clone()
-    });
-
-    parts
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let rw = weights[2 * i];
-            let nrw = weights[2 * i + 1];
-            let vote = VoteOutcome {
-                event_declared: rw > nrw,
-                reporting_weight: rw,
-                non_reporting_weight: nrw,
-                reporters: p.r,
-                non_reporters: p.nr,
-            };
-            LocatedDecision {
-                location: p.cg,
-                event_declared: vote.event_declared,
-                vote,
-                outliers: p.outliers,
-                non_neighbor_reporters: p.non_neighbor_reporters,
-            }
-        })
-        .collect()
+/// The judgements of one decision, in application order.
+fn judge<'a>(d: &DecisionView<'a>) -> impl Iterator<Item = (NodeId, Judgement)> + 'a {
+    let (winners, losers) = if d.event_declared {
+        (d.reporters, d.non_reporters)
+    } else {
+        (d.non_reporters, d.reporters)
+    };
+    winners
+        .iter()
+        .map(|&n| (n, Judgement::Correct))
+        .chain(losers.iter().map(|&n| (n, Judgement::Faulty)))
+        .chain(d.outliers.iter().map(|&n| (n, Judgement::Faulty)))
+        .chain(d.non_neighbor_reporters.iter().map(|&n| (n, Judgement::Faulty)))
 }
 
 /// Derives per-node judgements from one located decision.
@@ -380,23 +613,17 @@ pub fn decide_located(
 ///   false alarm), regardless of the verdict.
 #[must_use]
 pub fn judge_located(decision: &LocatedDecision) -> Vec<(NodeId, Judgement)> {
-    let (winners, losers) = if decision.event_declared {
-        (&decision.vote.reporters, &decision.vote.non_reporters)
-    } else {
-        (&decision.vote.non_reporters, &decision.vote.reporters)
-    };
-    winners
-        .iter()
-        .map(|&n| (n, Judgement::Correct))
-        .chain(losers.iter().map(|&n| (n, Judgement::Faulty)))
-        .chain(decision.outliers.iter().map(|&n| (n, Judgement::Faulty)))
-        .chain(
-            decision
-                .non_neighbor_reporters
-                .iter()
-                .map(|&n| (n, Judgement::Faulty)),
-        )
-        .collect()
+    judge(&DecisionView {
+        location: decision.location,
+        event_declared: decision.event_declared,
+        reporting_weight: decision.vote.reporting_weight,
+        non_reporting_weight: decision.vote.non_reporting_weight,
+        reporters: &decision.vote.reporters,
+        non_reporters: &decision.vote.non_reporters,
+        outliers: &decision.outliers,
+        non_neighbor_reporters: &decision.non_neighbor_reporters,
+    })
+    .collect()
 }
 
 #[cfg(test)]

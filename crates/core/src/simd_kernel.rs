@@ -374,6 +374,14 @@ impl GroupArena {
         self.order_sorted = false;
     }
 
+    /// Makes room for `indices` more flattened indices over `groups`
+    /// more groups without a further allocation.
+    pub fn reserve(&mut self, indices: usize, groups: usize) {
+        self.idx.reserve(indices);
+        self.ends.reserve(groups);
+        self.order.reserve(groups);
+    }
+
     /// Number of groups pushed since the last clear.
     #[must_use]
     pub fn group_count(&self) -> usize {
@@ -1246,6 +1254,36 @@ impl<T: Copy> AlignedSlab<T> {
             len: 0,
         }
     }
+
+    /// Makes room for at least `additional` more elements without a
+    /// further allocation, moving to a fresh, re-aligned allocation if
+    /// needed. `fill` initializes the new spare room.
+    pub fn reserve(&mut self, additional: usize, fill: T) {
+        if self.off + self.len + additional > self.raw.len() {
+            let mut grown = Self::filled(self.len + additional, fill);
+            grown[..self.len].copy_from_slice(self);
+            grown.len = self.len;
+            *self = grown;
+        }
+    }
+
+    /// Appends one element. Past the spare room behind the aligned
+    /// window the slab doubles into a fresh, re-aligned allocation, so a
+    /// slab whose length wanders below its high-water mark stops
+    /// allocating.
+    pub fn push(&mut self, value: T) {
+        if self.off + self.len == self.raw.len() {
+            self.reserve(self.len.max(4), value);
+        }
+        self.raw[self.off + self.len] = value;
+        self.len += 1;
+    }
+
+    /// Shortens the slab to `len` elements, keeping the allocation; a
+    /// no-op if it is already that short.
+    pub fn truncate(&mut self, len: usize) {
+        self.len = self.len.min(len);
+    }
 }
 
 impl<T: Copy> Clone for AlignedSlab<T> {
@@ -1415,6 +1453,20 @@ mod tests {
         if !foreign.is_supported() {
             assert_eq!(got, Tier::Scalar);
         }
+    }
+
+    #[test]
+    fn slab_push_and_truncate_keep_contents_and_alignment() {
+        let mut slab: AlignedSlab<f64> = AlignedSlab::empty();
+        for i in 0..100 {
+            slab.push(f64::from(i));
+            assert_eq!(slab.as_ptr() as usize % CACHE_LINE, 0);
+            assert_eq!(slab.len(), i as usize + 1);
+        }
+        assert!(slab.iter().enumerate().all(|(i, &v)| v == i as f64));
+        slab.truncate(10);
+        slab.push(-1.0);
+        assert_eq!(&slab[8..], &[8.0, 9.0, -1.0]);
     }
 
     #[test]

@@ -20,6 +20,7 @@ use tibfit_net::topology::NodeId;
 
 use crate::fixed;
 use crate::simd_kernel::{self, AlignedSlab};
+use tibfit_sim::arena::{gather_tail, settle_tail};
 
 /// One R/NR pair's outcome from [`TrustTable::decide_batch`]: the
 /// normalized group weights and the paper's decision rule applied to
@@ -977,6 +978,106 @@ impl TrustTable {
         self.status[i] = record.status;
         self.sync_weight(i);
     }
+
+    /// Makes room for `additional` more nodes (see
+    /// [`TrustTable::insert_nodes`]) without a further allocation.
+    pub fn reserve(&mut self, additional: usize) {
+        self.counters.reserve(additional);
+        self.cached_ti.reserve(additional);
+        self.weights.reserve(additional, 1.0);
+        self.status.reserve(additional);
+        if self.fixed.is_some() {
+            self.counters_q.reserve(additional);
+            self.weights_q.reserve(additional, fixed::ONE_Q16);
+        }
+    }
+
+    /// Removes the nodes at the ascending local ids `at`, appending each
+    /// one's [`TrustRecord`] to `out` in id order. The remaining nodes
+    /// keep their relative order, renumbered densely from 0 — the
+    /// sending side of a cluster's re-election, edited in place.
+    ///
+    /// The table is left exactly as rebuilding it would leave it: a
+    /// fresh [`TrustTable::new`] over the remaining nodes, each
+    /// [`TrustTable::install`]ed with its own record. Counters, cached
+    /// TIs and weights move unchanged (install would recompute each
+    /// cached TI to the same bits), and the bookkeeping reads as a
+    /// rebuild's: `exp_evals` equals the node count and `ti_reads` is 0.
+    /// Diagnosis and reintegration settings are kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id is out of range or the removal would leave the
+    /// table empty.
+    pub fn remove_nodes(&mut self, at: &[usize], out: &mut Vec<TrustRecord>) {
+        if at.is_empty() {
+            return;
+        }
+        assert!(at.len() < self.len(), "a trust table keeps at least one node");
+        out.extend(at.iter().map(|&i| self.extract(NodeId(i))));
+        let keep = self.len() - at.len();
+        gather_tail(&mut self.counters, at);
+        self.counters.truncate(keep);
+        gather_tail(&mut self.cached_ti, at);
+        self.cached_ti.truncate(keep);
+        gather_tail(&mut self.weights, at);
+        self.weights.truncate(keep);
+        gather_tail(&mut self.status, at);
+        self.status.truncate(keep);
+        if self.fixed.is_some() {
+            gather_tail(&mut self.counters_q, at);
+            self.counters_q.truncate(keep);
+            gather_tail(&mut self.weights_q, at);
+            self.weights_q.truncate(keep);
+        }
+        self.reseat();
+    }
+
+    /// Inserts hand-off records so that record `k` becomes node `at[k]`
+    /// (ascending final ids; the existing nodes keep their relative
+    /// order around them) — the receiving side of a cluster's
+    /// re-election, edited in place. Each record is installed as
+    /// [`TrustTable::install`] would, and the bookkeeping then reads as
+    /// after a rebuild (see [`TrustTable::remove_nodes`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `records` does not yield exactly `at.len()` records, an
+    /// id is out of range, or a record's counter is negative/non-finite.
+    pub fn insert_nodes(&mut self, at: &[usize], records: impl IntoIterator<Item = TrustRecord>) {
+        let base = self.len();
+        for record in records {
+            self.counters.push(0.0);
+            self.cached_ti.push(1.0);
+            self.weights.push(1.0);
+            self.status.push(NodeStatus::Active);
+            if self.fixed.is_some() {
+                self.counters_q.push(0);
+                self.weights_q.push(fixed::ONE_Q16);
+            }
+            self.install(NodeId(self.len() - 1), record);
+        }
+        assert_eq!(self.len() - base, at.len(), "one final id per inserted record");
+        if at.is_empty() {
+            return;
+        }
+        settle_tail(&mut self.counters, at);
+        settle_tail(&mut self.cached_ti, at);
+        settle_tail(&mut self.weights, at);
+        settle_tail(&mut self.status, at);
+        if self.fixed.is_some() {
+            settle_tail(&mut self.counters_q, at);
+            settle_tail(&mut self.weights_q, at);
+        }
+        self.reseat();
+    }
+
+    /// The bookkeeping a rebuilt table starts with: one paid exponential
+    /// per installed node, no reads yet.
+    fn reseat(&mut self) {
+        self.exp_evals = self.len() as u64;
+        self.ti_reads.set(0);
+    }
 }
 
 /// Why a [`TrustTableState`] was rejected by [`TrustTable::from_state`].
@@ -1455,6 +1556,56 @@ mod tests {
         assert_eq!(t.cumulative_trust(&[NodeId(0)]), 0.0);
         t.tick_round();
         assert!((t.cumulative_trust(&[NodeId(0)]) - 0.5).abs() < 1e-12);
+    }
+
+    /// A table rebuilt the way a cluster used to re-seat its members: a
+    /// fresh table with every record installed in order.
+    fn rebuilt(params: TrustParams, records: &[TrustRecord]) -> TrustTable {
+        let mut t = TrustTable::new(params, records.len());
+        for (i, &r) in records.iter().enumerate() {
+            t.install(NodeId(i), r);
+        }
+        t
+    }
+
+    #[test]
+    fn in_place_membership_edits_match_a_rebuild_bitwise() {
+        for params in [params(), TrustParams::new(0.25, 0.1).with_fixed_point().unwrap()] {
+            let n = 9;
+            let mut t = TrustTable::new(params, n);
+            for i in 0..n {
+                for _ in 0..(i % 4) {
+                    t.record_faulty(NodeId(i));
+                }
+                if i % 3 == 0 {
+                    t.record_correct(NodeId(i));
+                }
+            }
+            t.status[4] = NodeStatus::Quarantined { remaining: 3 };
+            t.sync_weight(4);
+            let _ = t.cumulative_trust(&[NodeId(0), NodeId(1)]);
+            let all: Vec<TrustRecord> = (0..n).map(|i| t.extract(NodeId(i))).collect();
+
+            let leave = [1, 4, 8];
+            let mut out = Vec::new();
+            t.remove_nodes(&leave, &mut out);
+            assert_eq!(out, leave.iter().map(|&i| all[i]).collect::<Vec<_>>());
+            let kept: Vec<TrustRecord> =
+                (0..n).filter(|i| !leave.contains(i)).map(|i| all[i]).collect();
+            assert_eq!(t.export_state(), rebuilt(params, &kept).export_state());
+            assert_eq!(&t.weights[..], &rebuilt(params, &kept).weights[..]);
+
+            // Re-admit two of them between the survivors.
+            t.insert_nodes(&[1, 3], [all[1], all[4]]);
+            let mut merged = kept.clone();
+            merged.insert(1, all[1]);
+            merged.insert(3, all[4]);
+            let want = rebuilt(params, &merged);
+            assert_eq!(t.export_state(), want.export_state());
+            assert_eq!(&t.weights[..], &want.weights[..]);
+            assert_eq!(&t.weights_q[..], &want.weights_q[..]);
+            assert_eq!(t.counters_q, want.counters_q);
+        }
     }
 
     #[test]

@@ -296,6 +296,30 @@ struct SlotShared {
     health: AtomicU8,
     /// Wall-clock latency of each answered query, for the p99 figure.
     query_latency: latency::Histogram,
+    /// Why the most recent failed incarnation exited (its error, or its
+    /// panic message), written by the worker thread itself on the way
+    /// out. The worker records it rather than the joiner because a slow
+    /// panic (a symbolized backtrace) can outlast the watchdog's stall
+    /// detection: by then the handle has been detached, and only the
+    /// thread knows what happened.
+    exit_cause: Mutex<Option<String>>,
+}
+
+impl SlotShared {
+    fn new() -> Self {
+        SlotShared {
+            heartbeat: AtomicU64::new(0),
+            applied: AtomicU64::new(0),
+            shed_quarantine: AtomicU64::new(0),
+            health: AtomicU8::new(HEALTH_ACTIVE),
+            query_latency: latency::Histogram::new(),
+            exit_cause: Mutex::new(None),
+        }
+    }
+
+    fn exit_cause(&self) -> MutexGuard<'_, Option<String>> {
+        self.exit_cause.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -312,7 +336,12 @@ struct SlotCore {
     sink: Arc<Mutex<LogSink>>,
     positions: Arc<PositionView>,
     cancel: Arc<AtomicBool>,
-    handle: Option<JoinHandle<Result<(), DaemonError>>>,
+    handle: Option<JoinHandle<()>>,
+    /// Superseded incarnations that had not exited when they were
+    /// replaced (wedged, or still unwinding a panic). They are fenced
+    /// and cancelled, so they can only exit; the watchdog joins the
+    /// finished ones at each check and shutdown joins the rest.
+    detached: Vec<JoinHandle<()>>,
     health: Health,
     misses: u32,
     last_heartbeat: u64,
@@ -527,6 +556,10 @@ fn process_item(
             if live && t % task.snapshot_every == 0 {
                 write_snapshot(task)?;
             }
+            // Publish this tick's final positions before acknowledging
+            // it: the router ranks the next tick's admissions against
+            // them only after this tick has drained.
+            task.tenant.refresh_positions();
             task.queue.complete_tick(task.generation, t);
             task.shared.heartbeat.fetch_add(1, Ordering::SeqCst);
         }
@@ -547,7 +580,27 @@ fn process_item(
     Ok(Step::Continue)
 }
 
-fn run_worker(mut task: WorkerTask) -> Result<(), DaemonError> {
+/// A worker thread's body: runs the incarnation and, if it fails,
+/// records why in the slot's shared state — an error's message, or the
+/// panic payload caught here. Clean exits record nothing.
+fn run_worker(task: WorkerTask) {
+    let shared = Arc::clone(&task.shared);
+    let cause = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work_loop(task))) {
+        Ok(Ok(())) => return,
+        Ok(Err(e)) => e.to_string(),
+        Err(payload) => {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string payload".into());
+            format!("worker panicked: {msg}")
+        }
+    };
+    *shared.exit_cause() = Some(cause);
+}
+
+fn work_loop(mut task: WorkerTask) -> Result<(), DaemonError> {
     let mut buf = String::new();
     let recovery = std::mem::take(&mut task.recovery);
     for item in recovery {
@@ -584,7 +637,7 @@ fn spawn_incarnation(
     incarnation: u64,
     generation: u64,
     recovery: Vec<WorkItem>,
-) -> JoinHandle<Result<(), DaemonError>> {
+) -> JoinHandle<()> {
     let task = WorkerTask {
         incarnation,
         generation,
@@ -632,24 +685,43 @@ fn rebuild_tenant(cfg: &DaemonConfig, id: usize) -> Result<(Tenant, u64), Daemon
     }
 }
 
+/// Cancels the slot's live incarnation and retires its handle: joined
+/// if it has exited, otherwise detached (its epoch is superseded and its
+/// cancel flag set, so it can only exit) for a later [`reap_slot`].
+fn retire_worker(slot: &mut SlotCore) {
+    slot.cancel.store(true, Ordering::SeqCst);
+    if let Some(handle) = slot.handle.take() {
+        if handle.is_finished() {
+            let _ = handle.join();
+        } else {
+            slot.detached.push(handle);
+        }
+    }
+    reap_slot(slot, false);
+}
+
+/// Joins the slot's detached incarnations — only those that have
+/// exited, or all of them when `wait` — and moves any recorded exit
+/// cause into `last_error`.
+fn reap_slot(slot: &mut SlotCore, wait: bool) {
+    let mut i = 0;
+    while i < slot.detached.len() {
+        if wait || slot.detached[i].is_finished() {
+            let _ = slot.detached.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
+    if let Some(cause) = slot.shared.exit_cause().take() {
+        slot.last_error = Some(cause);
+    }
+}
+
 /// Replaces a slot's worker: supersede the log epoch, rebuild the
 /// tenant from its last snapshot, truncate the log to match, replay
 /// the recovery buffer. On failure the tenant is quarantined instead.
 fn respawn_slot(cfg: &DaemonConfig, slot: &mut SlotCore, probation_until: u64) {
-    slot.cancel.store(true, Ordering::SeqCst);
-    if let Some(handle) = slot.handle.take() {
-        if handle.is_finished() {
-            match handle.join() {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => slot.last_error = Some(e.to_string()),
-                Err(_) => {
-                    slot.last_error = Some("worker panicked".into());
-                }
-            }
-        }
-        // A wedged (unfinished) handle is detached: its epoch is
-        // superseded and its cancel flag set, so it can only exit.
-    }
+    retire_worker(slot);
     let outcome: Result<(), DaemonError> = (|| {
         // Fence FIRST: bumping the queue generation stops a
         // still-running old incarnation (a wedge, or a watchdog false
@@ -707,6 +779,7 @@ fn respawn_slot(cfg: &DaemonConfig, slot: &mut SlotCore, probation_until: u64) {
 
 fn watchdog_check(cfg: &DaemonConfig, slot: &mut SlotCore, check_no: u64) -> f64 {
     let policy = cfg.watchdog;
+    reap_slot(slot, false);
     match slot.health {
         Health::Quarantined { until_check } => {
             if check_no >= until_check {
@@ -753,12 +826,7 @@ fn watchdog_check(cfg: &DaemonConfig, slot: &mut SlotCore, check_no: u64) -> f64
         }
         slot.restarts += 1;
         if slot.restart_checks.len() > policy.crash_loop_limit {
-            slot.cancel.store(true, Ordering::SeqCst);
-            if let Some(handle) = slot.handle.take() {
-                if handle.is_finished() {
-                    let _ = handle.join();
-                }
-            }
+            retire_worker(slot);
             slot.health = Health::Quarantined {
                 until_check: check_no + policy.probation_checks,
             };
@@ -876,13 +944,7 @@ fn build_slot(
     let sink = Arc::new(Mutex::new(LogSink::new(log_path)));
     let epoch = lock_sink(&sink).reopen()?;
     let positions = tenant.positions();
-    let shared = Arc::new(SlotShared {
-        heartbeat: AtomicU64::new(0),
-        applied: AtomicU64::new(0),
-        shed_quarantine: AtomicU64::new(0),
-        health: AtomicU8::new(HEALTH_ACTIVE),
-        query_latency: latency::Histogram::new(),
-    });
+    let shared = Arc::new(SlotShared::new());
     let cancel = Arc::new(AtomicBool::new(false));
     let handle = spawn_incarnation(
         cfg,
@@ -911,6 +973,7 @@ fn build_slot(
         positions,
         cancel,
         handle: Some(handle),
+        detached: Vec::new(),
         health: Health::Active,
         misses: 0,
         last_heartbeat: 0,
@@ -1211,21 +1274,13 @@ impl Daemon {
         let mut tenants = Vec::with_capacity(slots.len());
         for slot in slots.iter_mut() {
             let quarantined = matches!(slot.health, Health::Quarantined { .. });
+            // Queues are closed and superseded incarnations cancelled,
+            // so every worker thread of this slot is on its way out:
+            // join them all, then collect the last recorded exit cause.
             if let Some(handle) = slot.handle.take() {
-                if quarantined {
-                    // No worker is listening on a quarantined queue;
-                    // the handle (if any) is already dead or canceled.
-                    if handle.is_finished() {
-                        let _ = handle.join();
-                    }
-                } else {
-                    match handle.join() {
-                        Ok(Ok(())) => {}
-                        Ok(Err(e)) => slot.last_error = Some(e.to_string()),
-                        Err(_) => slot.last_error = Some("worker panicked".into()),
-                    }
-                }
+                slot.detached.push(handle);
             }
+            reap_slot(slot, true);
             tenants.push(TenantSummary {
                 id: slot.id,
                 applied: slot.shared.applied.load(Ordering::SeqCst),
@@ -1727,6 +1782,7 @@ fn migrate_out(ctx: &FleetCtx, tenant: usize, dest: usize) -> Result<(), Migrate
         // before the destination truncates and regenerates it.
         let _ = handle.join();
     }
+    reap_slot(&mut core, true);
     let scenario = (ctx.cfg.scenario)(tenant_seed(ctx.cfg.master_seed, tenant));
     let state_path = tenant_state_path(&ctx.cfg.state_dir, tenant);
     let outcome = (|| -> Result<(), MigrateError> {

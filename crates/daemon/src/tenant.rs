@@ -9,6 +9,7 @@ use tibfit_experiments::multicluster::{MultiClusterSim, MultiRoundResult};
 use tibfit_experiments::replay::FieldScenario;
 use tibfit_experiments::sharded::ShardedMultiCluster;
 use tibfit_net::geometry::Point;
+use tibfit_net::topology::NodeId;
 
 use crate::wire::Report;
 use crate::DaemonError;
@@ -72,9 +73,9 @@ enum TenantEngine {
 
 /// The engine's node positions, shared with the router so admission
 /// can rank pending records by trust impact without touching the
-/// engine. Refreshed by the worker after every applied round; read by
-/// the router only after the drain barrier, so reads always see a
-/// settled tick boundary.
+/// engine. Refreshed by the worker once per tick, at the tick's end
+/// ([`Tenant::refresh_positions`]); read by the router only after the
+/// drain barrier, so reads always see a settled tick boundary.
 pub struct PositionView {
     radius: f64,
     points: Mutex<Vec<(f64, f64)>>,
@@ -108,18 +109,13 @@ pub struct Tenant {
     kind: EngineKind,
     engine: TenantEngine,
     positions: Arc<PositionView>,
-    /// Scratch for per-record position refreshes — the apply path runs
-    /// once per admitted record and must not allocate for a full
-    /// position vector each time.
+    /// Scratch for the per-tick position refresh.
     pos_scratch: Vec<(u64, u64)>,
-    /// Scratch for the per-record trust digest, same reasoning.
+    /// Scratch for the per-record trust digest: the apply path runs once
+    /// per admitted record and must not allocate.
     trust_scratch: Vec<u64>,
-}
-
-fn decode_positions(bits: Vec<(u64, u64)>) -> Vec<(f64, f64)> {
-    bits.into_iter()
-        .map(|(x, y)| (f64::from_bits(x), f64::from_bits(y)))
-        .collect()
+    /// The last round's result, its buffers reused by the next round.
+    result: MultiRoundResult,
 }
 
 /// FNV-1a over a slice of u64 words, little-endian byte order — the
@@ -137,26 +133,32 @@ fn fnv1a_u64s(words: &[u64]) -> u64 {
 
 impl Tenant {
     fn build(id: usize, scenario: FieldScenario, kind: EngineKind, engine: TenantEngine) -> Self {
+        let nodes = scenario.nodes;
         let radius = match &engine {
             TenantEngine::Sequential(e) => e.config().sensing_radius,
             TenantEngine::Sharded(e) => e.config().sensing_radius,
         };
-        let bits = match &engine {
-            TenantEngine::Sequential(e) => e.position_snapshot(),
-            TenantEngine::Sharded(e) => e.position_snapshot(),
-        };
-        Tenant {
+        let mut tenant = Tenant {
             id,
             scenario,
             kind,
             engine,
             positions: Arc::new(PositionView {
                 radius,
-                points: Mutex::new(decode_positions(bits)),
+                points: Mutex::new(Vec::new()),
             }),
             pos_scratch: Vec::new(),
             trust_scratch: Vec::new(),
-        }
+            // A round declares at most one location per report, so
+            // room for every node means the result never grows.
+            result: MultiRoundResult {
+                declared: Vec::with_capacity(nodes),
+                declaring_clusters: Vec::with_capacity(nodes),
+                ..MultiRoundResult::default()
+            },
+        };
+        tenant.refresh_positions();
+        tenant
     }
 
     /// Builds a fresh tenant from its scenario.
@@ -235,8 +237,26 @@ impl Tenant {
     /// view from this engine's state immediately.
     pub fn set_positions(&mut self, view: Arc<PositionView>) {
         debug_assert_eq!(view.radius.to_bits(), self.positions.radius.to_bits());
-        *view.lock() = decode_positions(self.position_bits());
         self.positions = view;
+        self.refresh_positions();
+    }
+
+    /// Publishes the engine's current node positions to the shared view.
+    /// The worker calls this once per tick, after the tick's last record
+    /// and before acknowledging the tick, which is the only state the
+    /// router ever reads.
+    pub fn refresh_positions(&mut self) {
+        match &self.engine {
+            TenantEngine::Sequential(e) => e.position_snapshot_into(&mut self.pos_scratch),
+            TenantEngine::Sharded(e) => e.position_snapshot_into(&mut self.pos_scratch),
+        }
+        let mut pts = self.positions.lock();
+        pts.clear();
+        pts.extend(
+            self.pos_scratch
+                .iter()
+                .map(|&(x, y)| (f64::from_bits(x), f64::from_bits(y))),
+        );
     }
 
     /// Completed event rounds.
@@ -248,13 +268,6 @@ impl Tenant {
         }
     }
 
-    fn position_bits(&self) -> Vec<(u64, u64)> {
-        match &self.engine {
-            TenantEngine::Sequential(e) => e.position_snapshot(),
-            TenantEngine::Sharded(e) => e.position_snapshot(),
-        }
-    }
-
     fn trust_bits(&self) -> Vec<u64> {
         match &self.engine {
             TenantEngine::Sequential(e) => e.trust_snapshot(),
@@ -262,10 +275,15 @@ impl Tenant {
         }
     }
 
-    /// Trust index of one node, or `None` out of range.
+    /// Trust state of one node — its raw fault counter, the same bits
+    /// the decision-line digest covers — or `None` out of range. One
+    /// binary search in the owning cluster, no trust-vector copy.
     #[must_use]
     pub fn trust_of(&self, node: usize) -> Option<f64> {
-        self.trust_bits().get(node).map(|&bits| f64::from_bits(bits))
+        match &self.engine {
+            TenantEngine::Sequential(e) => e.counter_of(NodeId(node)),
+            TenantEngine::Sharded(e) => e.counter_of(NodeId(node)),
+        }
     }
 
     /// FNV-1a digest over the bit-exact trust vector — a cheap
@@ -276,8 +294,8 @@ impl Tenant {
         fnv1a_u64s(&self.trust_bits())
     }
 
-    /// Applies one admitted report: runs the event round, refreshes the
-    /// shared position view, and returns the decision line.
+    /// Applies one admitted report: runs the event round and returns the
+    /// decision line.
     pub fn apply(&mut self, report: &Report) -> String {
         let mut line = String::new();
         self.apply_into(report, &mut line);
@@ -286,37 +304,27 @@ impl Tenant {
 
     /// [`Self::apply`] appending the decision line to a caller-owned
     /// buffer (no trailing newline). The worker's per-record hot path:
-    /// position refresh, trust digest, and line formatting all reuse
-    /// scratch buffers, so a steady-state apply performs no heap
-    /// allocation beyond what the engine round itself needs.
+    /// the round result, trust digest, and line formatting all reuse
+    /// scratch buffers, and on the sequential engine the round itself
+    /// is allocation-free, so a steady-state apply makes no heap
+    /// allocation at all. It does not touch the shared position view;
+    /// see [`Self::refresh_positions`].
     pub fn apply_into(&mut self, report: &Report, out: &mut String) {
         let stimulus = Point::new(report.x, report.y);
-        let result = match &mut self.engine {
-            TenantEngine::Sequential(e) => e.run_event(stimulus),
-            TenantEngine::Sharded(e) => e.run_event(stimulus),
-        };
-        match &self.engine {
-            TenantEngine::Sequential(e) => e.position_snapshot_into(&mut self.pos_scratch),
-            TenantEngine::Sharded(e) => e.position_snapshot_into(&mut self.pos_scratch),
+        match &mut self.engine {
+            TenantEngine::Sequential(e) => e.run_event_into(stimulus, &mut self.result),
+            TenantEngine::Sharded(e) => e.run_event_into(stimulus, &mut self.result),
         }
-        {
-            let mut pts = self.positions.lock();
-            pts.clear();
-            pts.extend(
-                self.pos_scratch
-                    .iter()
-                    .map(|&(x, y)| (f64::from_bits(x), f64::from_bits(y))),
-            );
-        }
-        self.decision_line_into(report, &result, out);
+        self.decision_line_into(report, out);
     }
 
-    /// Formats the decision line for a completed round into `out`.
+    /// Formats the decision line for the last round into `out`.
     /// Deterministic byte-for-byte: coordinates use shortest round-trip
     /// formatting, the digest pins the full trust state.
-    fn decision_line_into(&mut self, report: &Report, result: &MultiRoundResult, out: &mut String) {
+    fn decision_line_into(&mut self, report: &Report, out: &mut String) {
         use std::fmt::Write;
         let round = self.round();
+        let result = &self.result;
         let _ = write!(out, "D {round} {} {} at=", report.src, report.seq);
         if result.declared.is_empty() {
             out.push('-');

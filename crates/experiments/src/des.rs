@@ -21,7 +21,7 @@
 use tibfit_adversary::behavior::{NodeBehavior, RoundContext};
 use tibfit_core::concurrent::ConcurrentCollector;
 use tibfit_core::engine::Aggregator;
-use tibfit_core::location::LocatedReport;
+use tibfit_core::location::{LocatedReport, LocatedScratch};
 use tibfit_net::channel::ChannelModel;
 use tibfit_net::geometry::Point;
 use tibfit_net::topology::{NodeId, Topology};
@@ -172,6 +172,8 @@ pub struct DesClusterSim {
     /// Reused buffer for collector poll results (allocation-free
     /// dispatch; the collector recycles the inner buffers).
     groups_scratch: Vec<Vec<LocatedReport>>,
+    /// Decide buffers reused across decision batches.
+    located: LocatedScratch,
 }
 
 impl DesClusterSim {
@@ -213,6 +215,7 @@ impl DesClusterSim {
             trace,
             counters,
             groups_scratch: Vec::new(),
+            located: LocatedScratch::new(),
         }
     }
 
@@ -425,16 +428,18 @@ impl DesClusterSim {
         }
         self.stats.decision_batches += 1;
         self.trace.bump(self.counters.decision_batches);
-        let round = self.aggregator.located_round(
-            &self.topo,
+        self.aggregator.located_round_into(
+            self.topo.positions(),
             self.config.sensing_radius,
             self.config.r_error,
             reports,
+            &mut self.located,
         );
-        for &(node, judgement) in &round.judgements {
+        for &(node, judgement) in self.located.judgements() {
             self.behaviors[node.index()].observe_judgement(judgement);
         }
-        for declared in round.declared_locations() {
+        let declared_now = self.located.decisions().filter(|d| d.event_declared);
+        for declared in declared_now.map(|d| d.location) {
             // Match against the oldest unmatched ground truth in range.
             if let Some(idx) = self
                 .pending_truth

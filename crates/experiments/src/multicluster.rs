@@ -35,11 +35,12 @@
 
 use tibfit_adversary::behavior::{BehaviorSnapshot, NodeBehavior, RoundContext};
 use tibfit_core::engine::{Aggregator, TibfitEngine};
-use tibfit_core::location::LocatedReport;
+use tibfit_core::location::{LocatedReport, LocatedScratch};
 use tibfit_core::trust::{TrustParams, TrustRecord, TrustTable, TrustTableState};
 use tibfit_net::channel::{ChannelModel, ChannelSnapshot};
 use tibfit_net::geometry::Point;
 use tibfit_net::topology::{NodeId, SiteIndex, SiteLattice, Topology};
+use tibfit_sim::arena::{gather_tail, settle_tail};
 use tibfit_sim::rng::{RngState, SimRng};
 use tibfit_sim::snapshot::SnapshotError;
 use tibfit_sim::trace::{CounterId, Trace};
@@ -265,14 +266,6 @@ pub(crate) struct SimCapture {
     pub(crate) field: (f64, f64),
 }
 
-/// One member's full state, as reassembled during a cluster rebuild.
-struct MemberSlot {
-    node: NodeId,
-    position: Point,
-    behavior: Box<dyn NodeBehavior + Send>,
-    record: TrustRecord,
-}
-
 /// One cluster as a self-contained unit: head position, members (global
 /// ids, ascending), their positions/behaviours, the head's engine, the
 /// cluster's channel instance, its private RNG stream, and its trace.
@@ -281,6 +274,14 @@ struct MemberSlot {
 /// rounds through this type's methods, so any behavioural difference
 /// between the two can only come from orchestration — which is exactly
 /// what the differential suite isolates.
+///
+/// Per-member state lives in parallel columns indexed by local id:
+/// `members`, `positions`, `behaviors` and the trust table's own
+/// columns. Re-election edits all of them in place with the same index
+/// list ([`ClusterState::departures`], [`ClusterState::admit`]); the
+/// columns start with room for twice the founding membership, and the
+/// decide path runs in the engine's [`LocatedScratch`], so a
+/// steady-state round allocates nothing.
 pub(crate) struct ClusterState {
     pub(crate) index: usize,
     head_position: Point,
@@ -288,7 +289,6 @@ pub(crate) struct ClusterState {
     members: Vec<NodeId>,
     /// Current member positions (drift updates these), local-id order.
     positions: Vec<Point>,
-    local_topo: Topology,
     engine: TibfitEngine,
     behaviors: Vec<Box<dyn NodeBehavior + Send>>,
     channel: Box<dyn ChannelModel + Send>,
@@ -304,6 +304,12 @@ pub(crate) struct ClusterState {
     config: MultiClusterConfig,
     field_w: f64,
     field_h: f64,
+    /// Re-election scratch: the local ids that move, ascending.
+    moving: Vec<usize>,
+    /// Re-election scratch: each departing member's destination.
+    moving_dst: Vec<usize>,
+    /// Re-election scratch: the departing members' trust records.
+    moving_records: Vec<TrustRecord>,
 }
 
 impl ClusterState {
@@ -321,7 +327,6 @@ impl ClusterState {
         field_h: f64,
     ) -> Self {
         debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members sorted");
-        let local_topo = Topology::from_positions(positions.clone(), field_w, field_h);
         let engine = TibfitEngine::new(config.trust, members.len());
         let mut trace = Trace::disabled();
         let c_delivered = trace.register_counter("reports.delivered");
@@ -336,7 +341,6 @@ impl ClusterState {
             head_position,
             members,
             positions,
-            local_topo,
             engine,
             behaviors,
             channel,
@@ -352,7 +356,25 @@ impl ClusterState {
             config,
             field_w,
             field_h,
+            moving: Vec::new(),
+            moving_dst: Vec::new(),
+            moving_records: Vec::new(),
         }
+        .with_headroom()
+    }
+
+    /// Reserves room for the membership to double before re-election
+    /// has to grow a column or its scratch.
+    fn with_headroom(mut self) -> Self {
+        let n = self.members.len();
+        self.members.reserve(n);
+        self.positions.reserve(n);
+        self.behaviors.reserve(n);
+        self.engine.table_mut().reserve(n);
+        self.moving.reserve(n);
+        self.moving_dst.reserve(n);
+        self.moving_records.reserve(n);
+        self
     }
 
     pub(crate) fn members(&self) -> &[NodeId] {
@@ -386,17 +408,9 @@ impl ClusterState {
 
     /// Phase 1 of a round: every member acts on the event (consuming this
     /// cluster's stream in member order), and surviving reports reach the
-    /// head through this cluster's channel. Returns local-id reports.
-    pub(crate) fn sense(&mut self, round: u64, event: Point) -> Vec<LocatedReport> {
-        let mut batch = Vec::new();
-        self.sense_into(round, event, &mut batch);
-        batch
-    }
-
-    /// As [`ClusterState::sense`], appending into a caller-owned buffer
-    /// so the sharded engine can lease per-round scratch from its arena
-    /// instead of allocating a fresh batch every round.
-    pub(crate) fn sense_into(&mut self, round: u64, event: Point, batch: &mut Vec<LocatedReport>) {
+    /// head through this cluster's channel. Appends local-id reports to
+    /// a caller-owned batch.
+    pub(crate) fn sense(&mut self, round: u64, event: Point, batch: &mut Vec<LocatedReport>) {
         for local in 0..self.members.len() {
             let node_pos = self.positions[local];
             let is_neighbor = node_pos.distance_to(event) <= self.config.sensing_radius;
@@ -421,40 +435,39 @@ impl ClusterState {
 
     /// Phase 2: the head decides from its fragment and judges its
     /// members; judgements feed straight back into the member behaviours
-    /// this cluster owns. An empty batch decides nothing (silence about
-    /// an event nobody reported is not evidence).
-    pub(crate) fn decide(&mut self, batch: &[LocatedReport]) -> Vec<Point> {
-        let mut declared = Vec::new();
-        self.decide_into(batch, &mut declared);
-        declared
-    }
-
-    /// As [`ClusterState::decide`], appending declared locations into a
-    /// caller-owned buffer (arena scratch on the sharded hot path).
-    pub(crate) fn decide_into(&mut self, batch: &[LocatedReport], declared: &mut Vec<Point>) {
+    /// this cluster owns. Runs in the caller's scratch and appends
+    /// declared locations to a caller-owned buffer. An empty batch
+    /// decides nothing (silence about an event nobody reported is not
+    /// evidence).
+    pub(crate) fn decide(
+        &mut self,
+        batch: &[LocatedReport],
+        scratch: &mut LocatedScratch,
+        declared: &mut Vec<Point>,
+    ) {
         if batch.is_empty() {
             return;
         }
         self.trace.bump(self.c_decided);
         let exp_before = self.engine.table().exp_evals();
-        let result = self.engine.located_round(
-            &self.local_topo,
+        self.engine.located_round_into(
+            &self.positions,
             self.config.sensing_radius,
             self.config.r_error,
             batch,
+            scratch,
         );
         // Exponentials actually paid by this decision (trust-cache
         // refreshes): uncached, every weight read would cost one.
         self.trace
             .bump_by(self.c_exp_evals, self.engine.table().exp_evals() - exp_before);
-        for &(local, judgement) in &result.judgements {
+        for &(local, judgement) in scratch.judgements() {
             self.behaviors[local.index()].observe_judgement(judgement);
         }
         let before = declared.len();
         declared.extend(
-            result
-                .decisions
-                .iter()
+            scratch
+                .decisions()
                 .filter(|d| d.event_declared)
                 .map(|d| d.location),
         );
@@ -477,104 +490,95 @@ impl ClusterState {
                 (p.y + dy).clamp(0.0, self.field_h),
             );
             self.positions[local] = moved;
-            self.local_topo.set_position(NodeId(local), moved);
         }
     }
 
-    /// Re-election: members now nearest a *different* site leave, taking
-    /// their trust record and behaviour with them. The cluster never
-    /// gives up its last member (a head with no members is not a
-    /// cluster), evaluated in member order so the retained node is
-    /// deterministic.
-    pub(crate) fn departures(&mut self, sites: &SiteIndex<'_>) -> Vec<Handoff> {
-        let mut leaving = vec![false; self.members.len()];
+    /// Re-election: members now nearest a *different* site leave,
+    /// taking their trust record and behaviour with them; their hand-offs
+    /// are appended to `out` in member order. The cluster never gives up
+    /// its last member (a head with no members is not a cluster),
+    /// evaluated in member order so the retained node is deterministic.
+    ///
+    /// Every column is edited in place with one index list: the leavers
+    /// are gathered to the tail (the stayers keep their order) and cut
+    /// off. The trust table follows the same edit and ends with a
+    /// rebuilt table's bookkeeping (see [`TrustTable::remove_nodes`]),
+    /// so checkpoints are unchanged from rebuilding the cluster.
+    pub(crate) fn departures(&mut self, sites: &SiteIndex<'_>, out: &mut Vec<Handoff>) {
+        self.moving.clear();
+        self.moving_dst.clear();
         let mut remaining = self.members.len();
-        for (leave, &position) in leaving.iter_mut().zip(&self.positions) {
+        for (local, &position) in self.positions.iter().enumerate() {
             let dst = sites.nearest(position).expect("non-empty sites");
             if dst != self.index && remaining > 1 {
-                *leave = true;
+                self.moving.push(local);
+                self.moving_dst.push(dst);
                 remaining -= 1;
             }
         }
-        if leaving.iter().all(|&l| !l) {
-            return Vec::new();
-        }
-        let records: Vec<TrustRecord> = (0..self.members.len())
-            .map(|l| self.engine.table().extract(NodeId(l)))
-            .collect();
-        let members = std::mem::take(&mut self.members);
-        let positions = std::mem::take(&mut self.positions);
-        let behaviors = std::mem::take(&mut self.behaviors);
-        let mut kept = Vec::with_capacity(remaining);
-        let mut out = Vec::new();
-        for (local, ((node, position), behavior)) in
-            members.into_iter().zip(positions).zip(behaviors).enumerate()
-        {
-            if leaving[local] {
-                let dst = sites.nearest(position).expect("non-empty sites");
-                out.push(Handoff {
-                    node,
-                    position,
-                    record: records[local],
-                    behavior,
-                    dst,
-                });
-            } else {
-                kept.push(MemberSlot {
-                    node,
-                    position,
-                    behavior,
-                    record: records[local],
-                });
-            }
-        }
-        self.trace.bump_by(self.c_handoff_out, out.len() as u64);
-        self.rebuild(kept);
-        out
-    }
-
-    /// Admits handed-off nodes. The rebuild sorts members by global id,
-    /// so the final state is independent of arrival order — determinism
-    /// by construction rather than by careful sequencing.
-    pub(crate) fn admit(&mut self, mut arrivals: Vec<Handoff>) {
-        self.admit_from(&mut arrivals);
-    }
-
-    /// As [`ClusterState::admit`], draining the caller's buffer in place
-    /// so a shard-lifetime scratch vector can be reused across epochs.
-    pub(crate) fn admit_from(&mut self, arrivals: &mut Vec<Handoff>) {
-        if arrivals.is_empty() {
+        if self.moving.is_empty() {
             return;
         }
-        self.trace.bump_by(self.c_handoff_in, arrivals.len() as u64);
-        let records: Vec<TrustRecord> = (0..self.members.len())
-            .map(|l| self.engine.table().extract(NodeId(l)))
-            .collect();
-        let members = std::mem::take(&mut self.members);
-        let positions = std::mem::take(&mut self.positions);
-        let behaviors = std::mem::take(&mut self.behaviors);
-        let mut kept: Vec<MemberSlot> = members
-            .into_iter()
-            .zip(positions)
-            .zip(behaviors)
-            .enumerate()
-            .map(|(local, ((node, position), behavior))| MemberSlot {
+        self.moving_records.clear();
+        self.engine
+            .table_mut()
+            .remove_nodes(&self.moving, &mut self.moving_records);
+        gather_tail(&mut self.members, &self.moving);
+        gather_tail(&mut self.positions, &self.moving);
+        gather_tail(&mut self.behaviors, &self.moving);
+        let gone = self
+            .members
+            .drain(remaining..)
+            .zip(self.positions.drain(remaining..))
+            .zip(self.behaviors.drain(remaining..))
+            .zip(self.moving_records.drain(..).zip(&self.moving_dst));
+        for (((node, position), behavior), (record, &dst)) in gone {
+            out.push(Handoff {
                 node,
                 position,
+                record,
                 behavior,
-                record: records[local],
-            })
-            .collect();
-        for h in arrivals.drain(..) {
-            debug_assert_eq!(h.dst, self.index, "handoff routed to wrong cluster");
-            kept.push(MemberSlot {
-                node: h.node,
-                position: h.position,
-                behavior: h.behavior,
-                record: h.record,
+                dst,
             });
         }
-        self.rebuild(kept);
+        self.trace.bump_by(self.c_handoff_out, self.moving.len() as u64);
+    }
+
+    /// Admits handed-off nodes, which must arrive in ascending global id
+    /// (sort the batch by `node` first). They are merged into the member
+    /// columns by id, so the final state is independent of the order the
+    /// batch was collected in — determinism by construction rather than
+    /// by careful sequencing. Like [`ClusterState::departures`], the edit
+    /// is in place and leaves the trust table as a rebuild would.
+    pub(crate) fn admit(&mut self, arrivals: impl Iterator<Item = Handoff>) {
+        let base = self.members.len();
+        self.moving.clear();
+        self.moving_records.clear();
+        for (rank, h) in arrivals.enumerate() {
+            debug_assert_eq!(h.dst, self.index, "handoff routed to wrong cluster");
+            debug_assert!(
+                self.members[base..].last().is_none_or(|&m| m < h.node),
+                "arrivals ascend by node"
+            );
+            // Final local id: the members below it plus the arrivals
+            // before it.
+            self.moving
+                .push(self.members[..base].partition_point(|&m| m < h.node) + rank);
+            self.moving_records.push(h.record);
+            self.members.push(h.node);
+            self.positions.push(h.position);
+            self.behaviors.push(h.behavior);
+        }
+        if self.moving.is_empty() {
+            return;
+        }
+        self.trace.bump_by(self.c_handoff_in, self.moving.len() as u64);
+        self.engine
+            .table_mut()
+            .insert_nodes(&self.moving, self.moving_records.drain(..));
+        settle_tail(&mut self.members, &self.moving);
+        settle_tail(&mut self.positions, &self.moving);
+        settle_tail(&mut self.behaviors, &self.moving);
     }
 
     /// Field dimensions this cluster clamps drift to.
@@ -691,26 +695,6 @@ impl ClusterState {
         }
         Ok(state)
     }
-
-    /// Reconstructs members/topology/trust from a full slot list.
-    fn rebuild(&mut self, mut slots: Vec<MemberSlot>) {
-        slots.sort_by_key(|s| s.node);
-        let mut members = Vec::with_capacity(slots.len());
-        let mut positions = Vec::with_capacity(slots.len());
-        let mut behaviors = Vec::with_capacity(slots.len());
-        let mut engine = TibfitEngine::new(self.config.trust, slots.len());
-        for (local, slot) in slots.into_iter().enumerate() {
-            members.push(slot.node);
-            positions.push(slot.position);
-            behaviors.push(slot.behavior);
-            engine.table_mut().install(NodeId(local), slot.record);
-        }
-        self.local_topo = Topology::from_positions(positions.clone(), self.field_w, self.field_h);
-        self.members = members;
-        self.positions = positions;
-        self.behaviors = behaviors;
-        self.engine = engine;
-    }
 }
 
 /// Builds the per-cluster states shared by the sequential and sharded
@@ -771,7 +755,7 @@ pub(crate) fn partition_clusters(
 }
 
 /// Result of one event round across all clusters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MultiRoundResult {
     /// Ground truth.
     pub event: Point,
@@ -791,29 +775,27 @@ impl MultiRoundResult {
     }
 }
 
-/// Merges per-cluster declarations at the base station: declarations
-/// within `r_error` of an accepted one are averaged into it, others open
-/// a new accepted location. Input order is cluster order, which both
-/// engines produce identically.
+/// Merges per-cluster declarations at the base station into `out`
+/// (its buffers are reused): declarations within `r_error` of an
+/// accepted one are averaged into it, others open a new accepted
+/// location. Input order is cluster order, which both engines produce
+/// identically.
 pub(crate) fn merge_declarations(
     event: Point,
-    declared: Vec<(usize, Point)>,
+    declared: &[(usize, Point)],
     r_error: f64,
-) -> MultiRoundResult {
-    let mut merged: Vec<Point> = Vec::new();
-    let mut declaring_clusters = Vec::new();
-    for (ci, d) in declared {
-        declaring_clusters.push(ci);
-        if let Some(existing) = merged.iter_mut().find(|m| m.distance_to(d) <= r_error) {
+    out: &mut MultiRoundResult,
+) {
+    out.event = event;
+    out.declared.clear();
+    out.declaring_clusters.clear();
+    for &(ci, d) in declared {
+        out.declaring_clusters.push(ci);
+        if let Some(existing) = out.declared.iter_mut().find(|m| m.distance_to(d) <= r_error) {
             *existing = Point::new((existing.x + d.x) / 2.0, (existing.y + d.y) / 2.0);
         } else {
-            merged.push(d);
+            out.declared.push(d);
         }
-    }
-    MultiRoundResult {
-        event,
-        declared: merged,
-        declaring_clusters,
     }
 }
 
@@ -832,6 +814,16 @@ pub struct MultiClusterSim {
     affiliation: Vec<usize>,
     n_nodes: usize,
     round: u64,
+    /// Per-round scratch, reused so a steady-state round allocates
+    /// nothing: the decide buffers every cluster runs in, one cluster's
+    /// report batch and declared locations, the round's
+    /// `(cluster, location)` declarations, and a re-election's
+    /// hand-offs. See [`MultiClusterSim::reserve_scratch`].
+    scratch: LocatedScratch,
+    batch: Vec<LocatedReport>,
+    cluster_declared: Vec<Point>,
+    declared: Vec<(usize, Point)>,
+    handoffs: Vec<Handoff>,
 }
 
 impl MultiClusterSim {
@@ -887,13 +879,32 @@ impl MultiClusterSim {
             affiliation: Vec::new(),
             n_nodes,
             round: 0,
+            scratch: LocatedScratch::new(),
+            batch: Vec::new(),
+            cluster_declared: Vec::new(),
+            declared: Vec::new(),
+            handoffs: Vec::new(),
         };
+        sim.reserve_scratch();
         sim.refresh_affiliation();
         Ok(sim)
     }
 
+    /// Sizes the per-round scratch for the whole deployment: no cluster's
+    /// batch, decision or re-election can involve more than every node,
+    /// so once reserved the round never grows a buffer.
+    fn reserve_scratch(&mut self) {
+        let n = self.n_nodes;
+        self.scratch.reserve(n);
+        self.batch.reserve(n);
+        self.cluster_declared.reserve(n);
+        self.declared.reserve(n);
+        self.handoffs.reserve(n);
+    }
+
     fn refresh_affiliation(&mut self) {
-        self.affiliation = vec![usize::MAX; self.n_nodes];
+        self.affiliation.clear();
+        self.affiliation.resize(self.n_nodes, usize::MAX);
         for cluster in &self.clusters {
             for &node in cluster.members() {
                 self.affiliation[node.index()] = cluster.index;
@@ -965,6 +976,18 @@ impl MultiClusterSim {
         cluster.trust_of(local)
     }
 
+    /// A node's raw trust counter (bit-exact, as in
+    /// [`Self::trust_snapshot`]), or `None` for an id out of range.
+    #[must_use]
+    pub fn counter_of(&self, node: NodeId) -> Option<f64> {
+        let cluster = &self.clusters[*self.affiliation.get(node.index())?];
+        let local = cluster
+            .members()
+            .binary_search(&node)
+            .expect("member of its own cluster");
+        Some(cluster.counter_of(local))
+    }
+
     /// Bit-exact snapshot of every node's raw trust counter, indexed by
     /// global node id. `f64::to_bits` so two engines can be compared for
     /// *identity*, not approximate equality.
@@ -1027,39 +1050,46 @@ impl MultiClusterSim {
     /// then (if configured) nodes drift and, on a re-election boundary,
     /// change clusters.
     pub fn run_event(&mut self, event: Point) -> MultiRoundResult {
+        let mut result = MultiRoundResult::default();
+        self.run_event_into(event, &mut result);
+        result
+    }
+
+    /// [`Self::run_event`] writing the result into a caller-owned one
+    /// whose buffers are reused — with the engine's own scratch, a
+    /// steady-state round makes no heap allocation.
+    pub fn run_event_into(&mut self, event: Point, result: &mut MultiRoundResult) {
         self.round += 1;
         let round = self.round;
-        let mut declared: Vec<(usize, Point)> = Vec::new();
+        self.declared.clear();
         for cluster in &mut self.clusters {
-            let batch = cluster.sense(round, event);
-            for loc in cluster.decide(&batch) {
-                declared.push((cluster.index, loc));
-            }
+            self.batch.clear();
+            cluster.sense(round, event, &mut self.batch);
+            self.cluster_declared.clear();
+            cluster.decide(&self.batch, &mut self.scratch, &mut self.cluster_declared);
+            self.declared
+                .extend(self.cluster_declared.iter().map(|&loc| (cluster.index, loc)));
         }
-        let result = merge_declarations(event, declared, self.config.r_error);
+        merge_declarations(event, &self.declared, self.config.r_error, result);
 
         for cluster in &mut self.clusters {
             cluster.drift();
         }
         if self.config.reelect_every > 0 && round.is_multiple_of(self.config.reelect_every) {
-            // Collect in cluster order, deliver grouped by destination:
-            // the same (src, seq) order the sharded engine's mailboxes
-            // impose.
-            let mut inbound: Vec<Vec<Handoff>> =
-                (0..self.clusters.len()).map(|_| Vec::new()).collect();
+            // Every cluster's leavers first, then each destination admits
+            // its arrivals in node order — the state the sharded
+            // engine's settlement epoch reaches.
             let sites = SiteIndex::with_lattice(&self.sites, self.lattice);
             for cluster in &mut self.clusters {
-                for h in cluster.departures(&sites) {
-                    let dst = h.dst;
-                    inbound[dst].push(h);
-                }
+                cluster.departures(&sites, &mut self.handoffs);
             }
-            for (ci, arrivals) in inbound.into_iter().enumerate() {
-                self.clusters[ci].admit(arrivals);
+            self.handoffs.sort_unstable_by_key(|h| (h.dst, h.node));
+            while let Some(dst) = self.handoffs.last().map(|h| h.dst) {
+                let start = self.handoffs.partition_point(|h| h.dst < dst);
+                self.clusters[dst].admit(self.handoffs.drain(start..));
             }
             self.refresh_affiliation();
         }
-        result
     }
 
     /// Decomposes the simulation into its per-cluster states (the sharded
@@ -1114,7 +1144,13 @@ impl MultiClusterSim {
             affiliation: Vec::new(),
             n_nodes,
             round,
+            scratch: LocatedScratch::new(),
+            batch: Vec::new(),
+            cluster_declared: Vec::new(),
+            declared: Vec::new(),
+            handoffs: Vec::new(),
         };
+        sim.reserve_scratch();
         sim.refresh_affiliation();
         sim
     }

@@ -9,7 +9,7 @@
 
 use tibfit_adversary::behavior::{NodeBehavior, RoundContext};
 use tibfit_core::engine::Aggregator;
-use tibfit_core::location::LocatedReport;
+use tibfit_core::location::{LocatedReport, LocatedScratch};
 use tibfit_net::channel::ChannelModel;
 use tibfit_net::geometry::Point;
 use tibfit_net::message::{EventReport, ReportPayload};
@@ -108,6 +108,8 @@ pub struct ClusterSim {
     /// Cached dense id list, so per-round loops and the engine's
     /// roster argument never re-collect it.
     all_nodes: Vec<NodeId>,
+    /// Decide buffers reused across located rounds.
+    located: LocatedScratch,
 }
 
 impl ClusterSim {
@@ -143,6 +145,7 @@ impl ClusterSim {
             rng,
             round: 0,
             all_nodes,
+            located: LocatedScratch::new(),
         }
     }
 
@@ -310,16 +313,22 @@ impl ClusterSim {
 
         let mut declared = Vec::new();
         if !reports.is_empty() {
-            let round = self.engine.located_round(
-                &self.topo,
+            self.engine.located_round_into(
+                self.topo.positions(),
                 self.config.sensing_radius,
                 self.config.r_error,
                 &reports,
+                &mut self.located,
             );
-            for &(node, judgement) in &round.judgements {
+            for &(node, judgement) in self.located.judgements() {
                 self.behaviors[node.index()].observe_judgement(judgement);
             }
-            declared = round.declared_locations();
+            declared.extend(
+                self.located
+                    .decisions()
+                    .filter(|d| d.event_declared)
+                    .map(|d| d.location),
+            );
         }
         LocatedRoundResult {
             events: events.to_vec(),

@@ -28,7 +28,7 @@
 //! checks the equivalence across seeds and thread counts.
 
 use tibfit_adversary::behavior::NodeBehavior;
-use tibfit_core::location::LocatedReport;
+use tibfit_core::location::{LocatedReport, LocatedScratch};
 use tibfit_net::channel::ChannelModel;
 use tibfit_net::geometry::Point;
 use std::sync::Arc;
@@ -128,6 +128,18 @@ struct ClusterShard {
     reports: BufferPool<LocatedReport>,
     /// Scratch for each decide's declared locations.
     declared: Vec<Point>,
+    /// Scratch for each re-election's departing hand-offs.
+    departing: Vec<Handoff>,
+    /// Scratch the cluster head decides in.
+    decide_scratch: LocatedScratch,
+}
+
+impl ClusterShard {
+    /// Admits the hand-offs collected from the inbox, in node order.
+    fn admit_arrivals(&mut self) {
+        self.arrivals.sort_unstable_by_key(|h| h.node);
+        self.state.admit(self.arrivals.drain(..));
+    }
 }
 
 impl Shard for ClusterShard {
@@ -148,18 +160,14 @@ impl Shard for ClusterShard {
             match env.msg {
                 ClusterMsg::Handoff(h) => self.arrivals.push(h),
                 ClusterMsg::Event { round, event } => {
-                    if !self.arrivals.is_empty() {
-                        self.state.admit_from(&mut self.arrivals);
-                    }
+                    self.admit_arrivals();
                     self.rounds.push((env.time, round));
                     self.timers.schedule_at(env.time, LocalTimer::Sense { round, event });
                 }
                 ClusterMsg::Declare { .. } => unreachable!("driver-bound message at a shard"),
             }
         }
-        if !self.arrivals.is_empty() {
-            self.state.admit_from(&mut self.arrivals);
-        }
+        self.admit_arrivals();
 
         // Pump the DES queue one round at a time: a round's timers all
         // live in [start, start + ROUND_TICKS), and end-of-round mobility
@@ -173,14 +181,15 @@ impl Shard for ClusterShard {
                 match timer {
                     LocalTimer::Sense { round, event } => {
                         let mut batch = self.reports.lease();
-                        self.state.sense_into(round, event, &mut batch);
+                        self.state.sense(round, event, &mut batch);
                         self.timers.schedule_at(
                             time + Duration::from_ticks(T_OUT),
                             LocalTimer::Decide { batch },
                         );
                     }
                     LocalTimer::Decide { batch } => {
-                        self.state.decide_into(&batch, &mut self.declared);
+                        self.state
+                            .decide(&batch, &mut self.decide_scratch, &mut self.declared);
                         self.reports.release(batch);
                         for &location in &self.declared {
                             // Driver-bound messages are exempt from the
@@ -205,7 +214,8 @@ impl Shard for ClusterShard {
             self.state.drift();
             if self.config.reelect_every > 0 && round.is_multiple_of(self.config.reelect_every) {
                 let index = SiteIndex::with_lattice(&self.sites, self.lattice);
-                for h in self.state.departures(&index) {
+                self.state.departures(&index, &mut self.departing);
+                for h in self.departing.drain(..) {
                     let dst = h.dst;
                     outbox.send(dst, until, ClusterMsg::Handoff(h));
                 }
@@ -260,6 +270,8 @@ pub struct ShardedMultiCluster {
     /// Reused driver-mailbox scratch: one allocation for the whole run
     /// instead of one per epoch.
     driver_buf: Vec<Envelope<ClusterMsg>>,
+    /// Reused `(cluster, location)` declaration scratch for the merge.
+    declared: Vec<(usize, Point)>,
 }
 
 impl ShardedMultiCluster {
@@ -332,6 +344,8 @@ impl ShardedMultiCluster {
                 rounds: Vec::new(),
                 reports: BufferPool::new(),
                 declared: Vec::new(),
+                departing: Vec::new(),
+                decide_scratch: LocatedScratch::new(),
             });
         }
         let shards: Vec<ClusterShard> = shards
@@ -346,6 +360,7 @@ impl ShardedMultiCluster {
             n_nodes,
             round,
             driver_buf: Vec::new(),
+            declared: Vec::new(),
         })
     }
 
@@ -404,6 +419,18 @@ impl ShardedMultiCluster {
     /// impossible for destinations produced by Voronoi affiliation over
     /// the construction-time site list.
     pub fn run_event(&mut self, event: Point) -> MultiRoundResult {
+        let mut result = MultiRoundResult::default();
+        self.run_event_into(event, &mut result);
+        result
+    }
+
+    /// [`Self::run_event`] writing the result into a caller-owned one
+    /// whose buffers are reused.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::run_event`].
+    pub fn run_event_into(&mut self, event: Point, result: &mut MultiRoundResult) {
         self.round += 1;
         let now = self.scheduler.now();
         for ci in 0..self.scheduler.shard_count() {
@@ -422,16 +449,16 @@ impl ShardedMultiCluster {
         self.scheduler
             .step_epoch_into(&mut driver_msgs)
             .expect("handoff routing stays in range");
-        let mut declared: Vec<(usize, Point)> = Vec::new();
+        self.declared.clear();
         for env in driver_msgs.drain(..) {
             match env.msg {
-                ClusterMsg::Declare { location } => declared.push((env.src, location)),
+                ClusterMsg::Declare { location } => self.declared.push((env.src, location)),
                 _ => unreachable!("only declarations flow to the driver"),
             }
         }
         self.driver_buf = driver_msgs;
         self.settle_if_boundary();
-        merge_declarations(event, declared, self.config.r_error)
+        merge_declarations(event, &self.declared, self.config.r_error, result);
     }
 
     /// Runs a whole sequence of event rounds through adaptive epochs:
@@ -498,8 +525,10 @@ impl ShardedMultiCluster {
             }
             self.driver_buf = driver_msgs;
             self.settle_if_boundary();
-            for (j, declared) in per_round.into_iter().enumerate() {
-                results.push(merge_declarations(events[i + j], declared, self.config.r_error));
+            for (j, declared) in per_round.iter().enumerate() {
+                let mut result = MultiRoundResult::default();
+                merge_declarations(events[i + j], declared, self.config.r_error, &mut result);
+                results.push(result);
             }
             i += k;
         }
@@ -558,6 +587,21 @@ impl ShardedMultiCluster {
             .flatten()
             .next()
             .expect("every node belongs to a cluster")
+    }
+
+    /// A node's raw trust counter (bit-exact, as in
+    /// [`Self::trust_snapshot`]), or `None` for an id out of range.
+    #[must_use]
+    pub fn counter_of(&self, node: NodeId) -> Option<f64> {
+        if node.index() >= self.n_nodes {
+            return None;
+        }
+        (0..self.scheduler.shard_count()).find_map(|ci| {
+            self.scheduler.with_shard(ci, |s| {
+                let local = s.state.members().binary_search(&node).ok()?;
+                Some(s.state.counter_of(local))
+            })
+        })
     }
 
     /// Bit-exact snapshot of every node's raw trust counter, indexed by

@@ -172,6 +172,12 @@ impl Topology {
         self.positions[id.0]
     }
 
+    /// All node positions, indexed by node id.
+    #[must_use]
+    pub fn positions(&self) -> &[Point] {
+        &self.positions
+    }
+
     /// Iterates over `(id, position)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, Point)> + '_ {
         self.positions

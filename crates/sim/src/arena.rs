@@ -107,9 +107,72 @@ impl<T> BufferPool<T> {
     }
 }
 
+/// Moves the elements at the ascending indices `at` to the tail of
+/// `col`, in index order, and closes the gaps: the other elements keep
+/// their relative order at the front. The inverse of [`settle_tail`].
+///
+/// Parallel columns (struct-of-arrays state) stay aligned when every
+/// column is gathered with the same `at`; truncating them to
+/// `len - at.len()` then removes those rows. Runs in place, so it never
+/// allocates, for any element type.
+///
+/// # Panics
+///
+/// Panics if an index is out of range.
+///
+/// ```rust
+/// use tibfit_sim::arena::{gather_tail, settle_tail};
+///
+/// let mut col = vec!['a', 'b', 'c', 'd', 'e'];
+/// gather_tail(&mut col, &[1, 3]);
+/// assert_eq!(col, ['a', 'c', 'e', 'b', 'd']);
+/// settle_tail(&mut col, &[1, 3]);
+/// assert_eq!(col, ['a', 'b', 'c', 'd', 'e']);
+/// ```
+pub fn gather_tail<T>(col: &mut [T], at: &[usize]) {
+    debug_assert!(at.windows(2).all(|w| w[0] < w[1]), "indices ascending");
+    let base = col.len() - at.len();
+    for (k, &i) in at.iter().enumerate().rev() {
+        col[i..=base + k].rotate_left(1);
+    }
+}
+
+/// Moves the `at.len()` elements at the tail of `col` to the ascending
+/// final indices `at` (tail element `k` lands at `at[k]`), shifting the
+/// elements between up: a sorted merge of the tail into the front,
+/// done in place. The inverse of [`gather_tail`].
+///
+/// # Panics
+///
+/// Panics if an index is out of range.
+pub fn settle_tail<T>(col: &mut [T], at: &[usize]) {
+    debug_assert!(at.windows(2).all(|w| w[0] < w[1]), "indices ascending");
+    let base = col.len() - at.len();
+    for (k, &i) in at.iter().enumerate() {
+        col[i..=base + k].rotate_right(1);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn gather_and_settle_are_inverse_for_every_subset() {
+        for n in 0..7usize {
+            for mask in 0u32..(1 << n) {
+                let at: Vec<usize> = (0..n).filter(|&i| mask & (1 << i) != 0).collect();
+                let orig: Vec<usize> = (0..n).collect();
+                let mut col = orig.clone();
+                gather_tail(&mut col, &at);
+                let kept: Vec<usize> = (0..n).filter(|i| !at.contains(i)).collect();
+                assert_eq!(&col[..kept.len()], &kept[..], "kept rows in order");
+                assert_eq!(&col[kept.len()..], &at[..], "gathered rows in order");
+                settle_tail(&mut col, &at);
+                assert_eq!(col, orig);
+            }
+        }
+    }
 
     #[test]
     fn lease_prefers_recycled_buffers() {
