@@ -26,7 +26,10 @@
 //! *before* the snapshot is written, so a snapshot at round `r` implies
 //! rounds `1..=r` are in the log; anything after `r` (including a torn
 //! final line) is regenerated deterministically by the replayed stream
-//! and is truncated away on restore.
+//! and is truncated away on restore. Because the log is append-only
+//! with strictly increasing rounds, truncation reads only its tail and
+//! writes nothing unless it cuts something, so restart cost follows the
+//! ticks since the last snapshot rather than the log's whole history.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -336,16 +339,30 @@ pub fn read_tenant_state(path: &Path) -> Result<Option<TenantState>, DaemonError
         .transpose()
 }
 
-/// Truncates a decision log to rounds `<= round`: keeps the longest
-/// prefix of well-formed, newline-terminated, strictly increasing
-/// decision lines ending at or before `round`, drops everything after
-/// — later rounds a dead incarnation got ahead on, and any torn final
-/// line. Missing file is treated as an empty log. Returns how many
-/// lines were kept.
+/// Bytes [`truncate_decision_log`] first reads from the end of a log.
+/// The window doubles until it holds the cut, so a restart reads about
+/// the unsnapshotted tail, not the whole history.
+const TAIL_WINDOW: u64 = 8 << 10;
+
+/// Truncates a decision log to rounds `<= round`: cuts it at the end of
+/// the last whole, well-formed decision line whose round is at most
+/// `round`, dropping everything after it — later rounds a dead
+/// incarnation got ahead on, and any torn final line. Returns that
+/// line's round (0 if no line is kept). A missing file is created
+/// empty.
 ///
-/// The cut is one `set_len` to the kept prefix's byte length plus an
+/// Only the tail is read: backward from end-of-file in a window of
+/// [`TAIL_WINDOW`] bytes that doubles until it holds the cut. That is
+/// enough because the daemon only appends, with strictly increasing
+/// rounds, so everything past the cut is at most the ticks since the
+/// snapshot plus one torn line. Lines before the cut are kept as they
+/// are, well-formed or not.
+///
+/// When the cut is shorter than the file it is one `set_len` plus an
 /// fsync, so a crash mid-truncation leaves either the old or the new
-/// log, both of which re-truncate cleanly on the next start.
+/// log, both of which re-truncate cleanly on the next start. When
+/// nothing is cut the file is not written or synced: it is then
+/// exactly as durable as the running daemon left it.
 ///
 /// # Errors
 ///
@@ -363,27 +380,51 @@ pub fn truncate_decision_log(path: &Path, round: u64) -> Result<u64, DaemonError
         .truncate(false)
         .open(path)
         .map_err(DaemonError::Io)?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes).map_err(DaemonError::Io)?;
-    let mut kept_len = 0usize;
-    let mut kept_lines = 0u64;
-    let mut last_round = 0u64;
-    for line in bytes.split_inclusive(|&b| b == b'\n') {
-        let Some(text) = line.strip_suffix(b"\n") else {
-            break;
-        };
-        match std::str::from_utf8(text).ok().and_then(decision_line_round) {
-            Some(r) if r <= round && r > last_round => {
-                kept_len += line.len();
-                kept_lines += 1;
-                last_round = r;
-            }
-            _ => break,
+    let len = file.metadata().map_err(DaemonError::Io)?.len();
+    let mut window = TAIL_WINDOW;
+    let mut tail = Vec::new();
+    let (cut, kept_round) = loop {
+        let start = len.saturating_sub(window);
+        tail.resize((len - start) as usize, 0);
+        file.seek(SeekFrom::Start(start)).map_err(DaemonError::Io)?;
+        file.read_exact(&mut tail).map_err(DaemonError::Io)?;
+        if let Some((end, r)) = last_line_at_most(&tail, start == 0, round) {
+            break (start + end as u64, r);
         }
+        if start == 0 {
+            break (0, 0);
+        }
+        window *= 2;
+    };
+    if cut < len {
+        file.set_len(cut).map_err(DaemonError::Io)?;
+        file.sync_all().map_err(DaemonError::Io)?;
     }
-    file.set_len(kept_len as u64).map_err(DaemonError::Io)?;
-    file.sync_all().map_err(DaemonError::Io)?;
-    Ok(kept_lines)
+    Ok(kept_round)
+}
+
+/// End offset and round of the last whole decision line in `tail` with
+/// a round `<= round`. Bytes after the last newline are a torn line;
+/// unless `tail` starts at the beginning of the file (`at_start`), the
+/// bytes before its first newline may be the end of a longer line.
+/// Neither counts.
+fn last_line_at_most(tail: &[u8], at_start: bool, round: u64) -> Option<(usize, u64)> {
+    let mut end = tail.iter().rposition(|&b| b == b'\n')? + 1;
+    loop {
+        let line = &tail[..end - 1];
+        let begin = line.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        if begin == 0 && !at_start {
+            return None;
+        }
+        let parsed = std::str::from_utf8(&line[begin..]).ok().and_then(decision_line_round);
+        if let Some(r) = parsed.filter(|&r| r <= round) {
+            return Some((end, r));
+        }
+        if begin == 0 {
+            return None;
+        }
+        end = begin;
+    }
 }
 
 #[cfg(test)]
@@ -613,8 +654,7 @@ mod tests {
                     D 3 0 3 at=3,4 by=1 trust=0000000000000003\n\
                     D 4 0 4 at=5,6 by=0 tru";
         std::fs::write(&path, full).unwrap();
-        let kept = truncate_decision_log(&path, 2).unwrap();
-        assert_eq!(kept, 2);
+        assert_eq!(truncate_decision_log(&path, 2).unwrap(), 2);
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2);
         assert!(text.ends_with("trust=0000000000000002\n"));
@@ -622,5 +662,143 @@ mod tests {
         let fresh = decision_log_path(&dir, 1);
         assert_eq!(truncate_decision_log(&fresh, 10).unwrap(), 0);
         assert_eq!(std::fs::read_to_string(&fresh).unwrap(), "");
+    }
+
+    /// The forward scan `truncate_decision_log` ran before it read only
+    /// the tail, kept as the reference: the byte length of the longest
+    /// prefix of whole, well-formed, strictly increasing decision lines
+    /// at rounds `<= round`, and the round of its last line.
+    fn forward_scan(bytes: &[u8], round: u64) -> (usize, u64) {
+        let mut kept_len = 0;
+        let mut last_round = 0;
+        for line in bytes.split_inclusive(|&b| b == b'\n') {
+            let Some(text) = line.strip_suffix(b"\n") else {
+                break;
+            };
+            match std::str::from_utf8(text).ok().and_then(decision_line_round) {
+                Some(r) if r <= round && r > last_round => {
+                    kept_len += line.len();
+                    last_round = r;
+                }
+                _ => break,
+            }
+        }
+        (kept_len, last_round)
+    }
+
+    /// A decision line for `round`; its `at=` list, and so its length,
+    /// varies with the round, so cuts land at assorted offsets.
+    fn decision_line(round: u64) -> String {
+        let at: Vec<String> = (0..round % 5).map(|i| (round * 7 + i).to_string()).collect();
+        let at = if at.is_empty() { "-".to_string() } else { at.join(",") };
+        format!(
+            "D {round} {} {round} at={at} by={} trust={:016x}\n",
+            round % 3,
+            round % 2,
+            round.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        )
+    }
+
+    /// A crash-shaped log: whole lines for rounds `first..=last`, then
+    /// lines past `last` until the bytes after `last`'s line reach
+    /// `tail_bytes`, the final line torn where that budget runs out.
+    /// Returns the log and the snapshot round `last`.
+    fn crash_log(first: u64, last: u64, tail_bytes: usize) -> (Vec<u8>, u64) {
+        let mut log: Vec<u8> = (first..=last).flat_map(|r| decision_line(r).into_bytes()).collect();
+        let mut budget = tail_bytes;
+        let mut r = last.max(first - 1);
+        while budget > 0 {
+            r += 1;
+            let line = decision_line(r);
+            let take = budget.min(line.len());
+            log.extend_from_slice(&line.as_bytes()[..take]);
+            budget -= take;
+        }
+        (log, last)
+    }
+
+    /// Truncates `log` at `round` with the tail scan and checks it
+    /// leaves exactly the bytes the forward scan would have kept.
+    fn assert_matches_forward_scan(path: &Path, log: &[u8], round: u64, what: &str) {
+        std::fs::write(path, log).unwrap();
+        let (kept_len, kept_round) = forward_scan(log, round);
+        assert_eq!(truncate_decision_log(path, round).unwrap(), kept_round, "{what}");
+        assert!(std::fs::read(path).unwrap() == log[..kept_len], "{what}: kept bytes differ");
+    }
+
+    #[test]
+    fn tail_truncation_matches_the_forward_scan_on_crash_shaped_logs() {
+        let dir = tempdir("tail-diff");
+        let path = decision_log_path(&dir, 0);
+        let line_len = decision_line(1).len();
+        let three_windows = 3 * TAIL_WINDOW as usize / line_len + 40;
+        // A first round above 1 is a log a fleet member started on
+        // adoption.
+        for first in [1u64, 977] {
+            for kept in [0, 1, 2, 57, 130, three_windows] {
+                let last = first + kept as u64 - 1;
+                for past in [0usize, 1, 2, 37, 128, 300] {
+                    let past_bytes: usize =
+                        (last + 1..=last + past as u64).map(|r| decision_line(r).len()).sum();
+                    for torn in [0, 1, line_len / 2, line_len - 1] {
+                        let (log, round) = crash_log(first, last, past_bytes + torn);
+                        let what = format!("first {first} kept {kept} past {past} torn {torn}");
+                        assert_matches_forward_scan(&path, &log, round, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tail_truncation_matches_the_forward_scan_around_window_boundaries() {
+        let dir = tempdir("tail-window");
+        let path = decision_log_path(&dir, 0);
+        let window = TAIL_WINDOW as usize;
+        // Bytes after the cut run across the first and second window
+        // edges, so the cut, and the start of the kept line, each land
+        // exactly on a boundary at some point.
+        for edge in [window, 2 * window] {
+            for tail in edge - 150..=edge + 150 {
+                let (log, round) = crash_log(3, 150, tail);
+                assert_matches_forward_scan(&path, &log, round, &format!("tail {tail}"));
+            }
+        }
+    }
+
+    #[test]
+    fn tail_truncation_keeps_a_malformed_line_before_the_cut() {
+        let dir = tempdir("tail-malformed");
+        let path = decision_log_path(&dir, 0);
+        let malformed = "D 4 0 4 at=- by=- tru\n";
+        let log: String = (1..=10)
+            .map(|r| if r == 4 { malformed.to_string() } else { decision_line(r) })
+            .collect();
+        std::fs::write(&path, &log).unwrap();
+        // The forward scan stopped at line 4 and deleted rounds 5..=8,
+        // history no replay can regenerate; the tail scan keeps it.
+        assert_eq!(forward_scan(log.as_bytes(), 8), (log.find("D 4 ").unwrap(), 3));
+        assert_eq!(truncate_decision_log(&path, 8).unwrap(), 8);
+        let kept = std::fs::read_to_string(&path).unwrap();
+        assert!(kept.contains(malformed));
+        assert!(kept.ends_with(&decision_line(8)));
+        assert_eq!(kept.lines().count(), 8);
+        // Nothing to cut: the log is left as it is.
+        assert_eq!(truncate_decision_log(&path, 8).unwrap(), 8);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), kept);
+    }
+
+    #[test]
+    fn tail_truncation_empties_a_log_with_no_line_at_or_before_the_round() {
+        let dir = tempdir("tail-empty");
+        let path = decision_log_path(&dir, 0);
+        let (log, _) = crash_log(977, 2000, 30);
+        assert!(log.len() > 3 * TAIL_WINDOW as usize);
+        std::fs::write(&path, &log).unwrap();
+        assert_eq!(truncate_decision_log(&path, 976).unwrap(), 0);
+        assert_eq!(std::fs::read(&path).unwrap(), b"");
+        std::fs::write(&path, "garbage\nD 1 0 1 at=- by=- tru").unwrap();
+        assert_eq!(truncate_decision_log(&path, 5).unwrap(), 0);
+        assert_eq!(std::fs::read(&path).unwrap(), b"");
     }
 }

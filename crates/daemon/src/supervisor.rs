@@ -660,10 +660,23 @@ fn spawn_incarnation(
         .expect("spawning a tenant worker thread")
 }
 
-/// Rebuilds a tenant for a replacement incarnation: last snapshot if
-/// one exists, otherwise fresh from the scenario (the recovery buffer
-/// then replays everything admitted since that base).
-fn rebuild_tenant(cfg: &DaemonConfig, id: usize) -> Result<(Tenant, u64), DaemonError> {
+/// A tenant rebuilt from its last snapshot, with the queue state that
+/// snapshot recorded.
+struct Rebuilt {
+    tenant: Tenant,
+    /// Engine round of the snapshot (0 for a fresh tenant).
+    round: u64,
+    /// Dedup highwaters at the snapshot (empty for a fresh tenant).
+    highwater: Vec<(u64, u64)>,
+    /// Queue counters at the snapshot (zero for a fresh tenant).
+    stats: QueueStats,
+}
+
+/// Rebuilds a tenant from its last snapshot if one exists, otherwise
+/// fresh from the scenario. Startup seeds the new queue from the
+/// result; a replacement incarnation keeps its queue and replays the
+/// recovery buffer (everything admitted since that base) instead.
+fn rebuild_tenant(cfg: &DaemonConfig, id: usize) -> Result<Rebuilt, DaemonError> {
     let scenario = (cfg.scenario)(tenant_seed(cfg.master_seed, id));
     let path = tenant_state_path(&cfg.state_dir, id);
     match read_tenant_state(&path)? {
@@ -674,14 +687,19 @@ fn rebuild_tenant(cfg: &DaemonConfig, id: usize) -> Result<(Tenant, u64), Daemon
                     state.seed, scenario.seed
                 )));
             }
-            let tenant = Tenant::from_blob(id, scenario, cfg.engine, cfg.threads, &state.blob)?;
-            let round = state.round;
-            Ok((tenant, round))
+            Ok(Rebuilt {
+                tenant: Tenant::from_blob(id, scenario, cfg.engine, cfg.threads, &state.blob)?,
+                round: state.round,
+                highwater: state.highwater,
+                stats: state.stats,
+            })
         }
-        None => {
-            let tenant = Tenant::new(id, scenario, cfg.engine, cfg.threads)?;
-            Ok((tenant, 0))
-        }
+        None => Ok(Rebuilt {
+            tenant: Tenant::new(id, scenario, cfg.engine, cfg.threads)?,
+            round: 0,
+            highwater: Vec::new(),
+            stats: QueueStats::default(),
+        }),
     }
 }
 
@@ -735,7 +753,9 @@ fn respawn_slot(cfg: &DaemonConfig, slot: &mut SlotCore, probation_until: u64) {
         // rejected rather than appended to a log we are about to (or
         // just did) truncate.
         lock_sink(&slot.sink).supersede();
-        let (mut tenant, round) = rebuild_tenant(cfg, slot.id)?;
+        let Rebuilt {
+            mut tenant, round, ..
+        } = rebuild_tenant(cfg, slot.id)?;
         let log_path = decision_log_path(&cfg.decisions_dir, slot.id);
         truncate_decision_log(&log_path, round)?;
         let epoch = lock_sink(&slot.sink).reopen()?;
@@ -910,24 +930,15 @@ fn build_slot(
     id: usize,
     seed: Option<BundleSeed>,
 ) -> Result<(SlotCore, RouterSlot), DaemonError> {
-    let scenario = (cfg.scenario)(tenant_seed(cfg.master_seed, id));
-    let path = tenant_state_path(&cfg.state_dir, id);
+    let Rebuilt {
+        tenant,
+        round,
+        highwater,
+        stats,
+    } = rebuild_tenant(cfg, id)?;
     let queue = Arc::new(SharedQueue::new(cfg.queue));
-    let (tenant, round) = match read_tenant_state(&path)? {
-        Some(state) => {
-            if state.seed != scenario.seed {
-                return Err(DaemonError::State(format!(
-                    "tenant {id} state file has seed {} but the configuration expects {}",
-                    state.seed, scenario.seed
-                )));
-            }
-            let tenant = Tenant::from_blob(id, scenario, cfg.engine, cfg.threads, &state.blob)?;
-            queue.seed_highwater(state.highwater.iter().copied());
-            queue.seed_stats(state.stats);
-            (tenant, state.round)
-        }
-        None => (Tenant::new(id, scenario, cfg.engine, cfg.threads)?, 0),
-    };
+    queue.seed_highwater(highwater);
+    queue.seed_stats(stats);
     let mut recovery = Vec::new();
     let mut initial_ticks = 0u64;
     if let Some(seed) = seed {

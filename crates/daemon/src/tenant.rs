@@ -377,9 +377,9 @@ pub fn decision_line_round(line: &str) -> Option<u64> {
         return None;
     }
     let round = it.next()?.parse().ok()?;
-    // A complete line has src, seq, at=, by=, trust=.
-    let rest: Vec<&str> = it.collect();
-    if rest.len() != 5 || !rest[4].starts_with("trust=") {
+    // A complete line has src, seq, at=, by=, trust= and nothing after.
+    let trust = it.nth(4)?;
+    if !trust.starts_with("trust=") || it.next().is_some() {
         return None;
     }
     Some(round)
@@ -467,6 +467,9 @@ mod tests {
         assert_eq!(decision_line_round("D 7 0 9 at=1,2"), None);
         assert_eq!(decision_line_round("garbage"), None);
         assert_eq!(decision_line_round(""), None);
+        assert_eq!(decision_line_round("D 7 0 9 at=1,2 by=0 trust=00000000deadbeef x"), None);
+        assert_eq!(decision_line_round("D 7 0 9 at=1,2 by=0 x trust=00000000deadbeef"), None);
+        assert_eq!(decision_line_round("D x7 0 9 at=1,2 by=0 trust=00000000deadbeef"), None);
     }
 
     #[test]

@@ -49,6 +49,10 @@ fn decisions(state_dir: &Path) -> Vec<String> {
 }
 
 fn gen_replay(dir: &Path, seed: u64, ticks: u64) -> PathBuf {
+    gen_replay_per_tick(dir, seed, ticks, 1)
+}
+
+fn gen_replay_per_tick(dir: &Path, seed: u64, ticks: u64, per_tick: u64) -> PathBuf {
     let replay = dir.join("events.replay");
     run_ok(&[
         "gen-replay",
@@ -61,7 +65,7 @@ fn gen_replay(dir: &Path, seed: u64, ticks: u64) -> PathBuf {
         "--ticks",
         &ticks.to_string(),
         "--per-tick",
-        "1",
+        &per_tick.to_string(),
     ]);
     replay
 }
@@ -217,6 +221,44 @@ fn sigterm_drains_cleanly_and_resume_completes() {
     // Resume over the full replay: the drained half dedups away.
     run_ok(&serve_args(replay, &drain_dir_s, &seed_s, "seq"));
     assert_eq!(reference, decisions(&drain_dir));
+}
+
+#[test]
+fn abort_past_the_snapshot_cuts_the_log_and_resumes_byte_identical() {
+    let seed = 7u64;
+    let root = fresh_dir("cut");
+    let replay = gen_replay_per_tick(&root, seed, 30, 2);
+    let replay = replay.to_str().unwrap();
+    let seed_s = seed.to_string();
+
+    let ref_dir = root.join("ref");
+    run_ok(&serve_args(replay, ref_dir.to_str().unwrap(), &seed_s, "sharded"));
+    let reference = decisions(&ref_dir);
+
+    // Abort after tick 20: the last snapshot is tick 18's, and the
+    // logs already hold tick 19 (each tick completes before the next
+    // one is issued), so the restart has lines to cut.
+    let crash_dir = root.join("crash");
+    let crash_dir_s = crash_dir.to_str().unwrap().to_string();
+    let mut args = serve_args(replay, &crash_dir_s, &seed_s, "sharded");
+    args.extend_from_slice(&["--crash-after-ticks", "20"]);
+    let out = Command::new(bin()).args(&args).output().expect("binary spawns");
+    assert!(!out.status.success(), "the crash plan must abort the run");
+    for (t, log) in decisions(&crash_dir).iter().enumerate() {
+        let round = restored_round(&tenant_state_path(&crash_dir, t)).expect("snapshot on disk");
+        let lines = log.lines().count() as u64;
+        assert!(
+            lines > round,
+            "tenant {t}: {lines} log lines must run past snapshot round {round}"
+        );
+    }
+
+    run_ok(&serve_args(replay, &crash_dir_s, &seed_s, "sharded"));
+    assert_eq!(
+        reference,
+        decisions(&crash_dir),
+        "resume after a non-empty cut must be byte-identical"
+    );
 }
 
 /// Round `path`'s state restores at (`None` for no state).
