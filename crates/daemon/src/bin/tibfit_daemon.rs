@@ -9,7 +9,7 @@
 //!
 //! `serve` (the default when the first argument is a flag) ingests
 //! newline-framed reports from a replay file, stdin, or a TCP
-//! listener; snapshots every tenant on a tick cadence; restarts or
+//! listener; snapshots every tenant on an adaptive cadence; restarts or
 //! quarantines misbehaving workers; and on SIGINT/SIGTERM drains,
 //! writes final snapshots, and exits 0 — a restart resumes
 //! byte-identically from the state directory.
@@ -50,7 +50,7 @@ SERVE OPTIONS:
   --decisions <DIR>        decision logs [<state-dir>/decisions]
   --queue-cap <N>          per-tenant queue capacity [1024]
   --budget <N>             records admitted per tick [64]
-  --snapshot-every <N>     snapshot cadence in ticks [4]
+  --snapshot-every <N>     minimum snapshot cadence in ticks [4]
   --record-shed            keep the shed-key log (tests)
   --drain-after-ticks <N>  drain cleanly after N ticks (tests)
   --crash-after-ticks <N>  abort the process after N ticks (tests)

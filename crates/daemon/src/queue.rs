@@ -38,7 +38,10 @@
 //! cleared only when the worker commits a snapshot. If the worker
 //! wedges or panics, the supervisor rebuilds the tenant from its last
 //! snapshot and replays the buffer — zero records lost, no dependence
-//! on the upstream still having them. Snapshots are suppressed while
+//! on the upstream still having them. The worker's
+//! [`SnapshotCadence`](crate::state::SnapshotCadence) keeps the buffer
+//! at or under `snapshot_every × tick_budget` records at every tick
+//! end. Snapshots are suppressed while
 //! replaying (the live highwater map is ahead of the buffer cursor, so
 //! a mid-replay snapshot would pair an old engine state with future
 //! highwaters).
@@ -427,8 +430,11 @@ impl SharedQueue {
     /// replaced worker must not publish a state file (or clear the
     /// buffer) that its replacement's respawn sequence no longer
     /// accounts for. The write is short (one in-place slot write plus
-    /// fsync of an already-encoded blob) and happens only at tick
-    /// boundaries, so holding the lock across it is acceptable.
+    /// fsync of an already-encoded blob) and happens only at the tick
+    /// ends the worker's snapshot cadence picks, so holding the lock
+    /// across it is acceptable. The worker syncs its decision log
+    /// before calling this, outside the lock, so the router is never
+    /// held up by the log's writeback.
     pub fn commit_snapshot<E>(
         &self,
         generation: u64,
@@ -644,6 +650,68 @@ mod tests {
         q.close();
         assert_eq!(q.pop(generation), Some(WorkItem::Shutdown));
         assert_eq!(q.pop(generation), None);
+    }
+
+    #[test]
+    fn recovery_buffer_never_exceeds_the_cadence_budget() {
+        use crate::state::SnapshotCadence;
+        let (every, budget) = (3u64, 8usize);
+        let mixed: Vec<u64> = (0..400u64).map(|t| [0, 1, 8, 3, 0, 0, 12, 1][(t * 5 % 8) as usize]).collect();
+        // Records offered per tick: sparse, a full budget, twice the
+        // budget (half shed), and bursts between idle ticks.
+        for (name, offers) in [
+            ("sparse", vec![1u64; 400]),
+            ("dense", vec![8; 100]),
+            ("overloaded", vec![16; 100]),
+            ("mixed", mixed),
+        ] {
+            let q = SharedQueue::new(policy(64, budget));
+            let mut cadence = SnapshotCadence::new(every, budget);
+            let (mut generation, mut seq, mut most, mut snapshots) = (0, 0, 0, 0);
+            for (i, &n) in offers.iter().enumerate() {
+                let tick = i as u64 + 1;
+                for _ in 0..n {
+                    seq += 1;
+                    q.offer(report(1, seq, 0.0));
+                }
+                q.end_tick(tick, |_| 0);
+                // Apply the tick like a worker; at its end, before the
+                // snapshot decision, the buffer is what a crash replays.
+                loop {
+                    match q.pop(generation) {
+                        Some(WorkItem::Record(_)) => cadence.record(),
+                        Some(WorkItem::TickEnd(t)) => {
+                            let (g, buffer) = q.recovery_view();
+                            generation = g;
+                            let held = buffer.iter().filter(|i| matches!(i, WorkItem::Record(_))).count() as u64;
+                            assert!(held <= cadence.max_records(), "{name}: tick {t} holds {held}");
+                            most = most.max(held);
+                            if cadence.tick_end() {
+                                assert_eq!(q.commit_snapshot(generation, || Ok::<(), ()>(())), Ok(true));
+                                cadence.snapshotted();
+                                snapshots += 1;
+                            }
+                            q.complete_tick(generation, t);
+                            break;
+                        }
+                        other => panic!("{name}: unexpected {other:?}"),
+                    }
+                }
+            }
+            let ticks = offers.len() as u64;
+            match name {
+                // A full budget per tick reaches R exactly, every
+                // `every` ticks, however much is shed.
+                "dense" | "overloaded" => {
+                    assert_eq!(most, cadence.max_records(), "{name}");
+                    assert_eq!(snapshots, ticks / every, "{name}");
+                }
+                // ~2.6 admitted records per tick: R fills in ~8 ticks.
+                "mixed" => assert!(snapshots < ticks / every / 2, "{name}: {snapshots} snapshots"),
+                // One record per tick: a snapshot every 17 ticks.
+                _ => assert!(snapshots < ticks / every / 4, "{name}: {snapshots} snapshots"),
+            }
+        }
     }
 
     #[test]

@@ -20,16 +20,18 @@
 //! slots holds one bare container in `tenantN.tbsn`; it reads as
 //! `seq` 0.
 //!
-//! Snapshots are taken only at tick boundaries, so every slot is
-//! internally consistent: the engine round, the highwater map, and the
-//! counters all describe the same instant. The decision log is flushed
-//! *before* the snapshot is written, so a snapshot at round `r` implies
-//! rounds `1..=r` are in the log; anything after `r` (including a torn
-//! final line) is regenerated deterministically by the replayed stream
-//! and is truncated away on restore. Because the log is append-only
-//! with strictly increasing rounds, truncation reads only its tail and
-//! writes nothing unless it cuts something, so restart cost follows the
-//! ticks since the last snapshot rather than the log's whole history.
+//! Snapshots are taken only at tick boundaries, on the
+//! [`SnapshotCadence`], so every slot is internally consistent: the
+//! engine round, the highwater map, and the counters all describe the
+//! same instant. The decision log is synced to disk *before* the
+//! snapshot is written, so a durable snapshot at round `r` implies
+//! durable rounds `1..=r` in the log, even across a power loss; anything
+//! after `r` (including a torn final line) is regenerated
+//! deterministically by the replayed stream and is truncated away on
+//! restore. Because the log is append-only with strictly increasing
+//! rounds, truncation reads only its tail and writes nothing unless it
+//! cuts something, so restart cost follows the records since the last
+//! snapshot (at most the cadence's `R`) rather than the log's history.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -339,6 +341,84 @@ pub fn read_tenant_state(path: &Path) -> Result<Option<TenantState>, DaemonError
         .transpose()
 }
 
+/// When a tenant worker snapshots. Trickle's rule, bounded by a replay
+/// budget: the interval doubles after every snapshot while the tenant
+/// stays up, and starts again at the minimum for every new incarnation
+/// (startup, watchdog respawn, fleet adoption, migration in), which
+/// builds a fresh cadence. The worker feeds it every record it applies
+/// and every tick end it reaches, recovery replay included, so its
+/// counts are exactly what the queue's recovery buffer holds since the
+/// last snapshot.
+///
+/// A snapshot is due at a tick end when `interval` ticks have passed
+/// since the last one, or when one more full tick (at most `tick_budget`
+/// admitted records) could take the buffer past
+/// `R = min_interval × tick_budget` records. `R` is the worst case the
+/// old fixed cadence allowed, so dense tenants (a full budget every
+/// tick) still snapshot every `min_interval` ticks, sparse ones far less
+/// often, and the replay a restart needs never exceeds `R` records. (The
+/// one exception is the first live tick after a recovery replay, on a
+/// watchdog respawn or a migration install: a snapshot that fell due
+/// during the replay, which cannot snapshot, waits for that tick's end,
+/// so a crash inside it replays up to `R + tick_budget`.) The interval
+/// itself is capped at `R` ticks, so an idle tenant still snapshots now
+/// and then.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SnapshotCadence {
+    tick_budget: u64,
+    max_records: u64,
+    interval: u64,
+    ticks: u64,
+    records: u64,
+}
+
+impl SnapshotCadence {
+    /// A new incarnation's cadence: `min_interval` is `--snapshot-every`,
+    /// `tick_budget` the queue's records admitted per tick.
+    #[must_use]
+    pub fn new(min_interval: u64, tick_budget: usize) -> Self {
+        let tick_budget = tick_budget as u64;
+        SnapshotCadence {
+            tick_budget,
+            max_records: min_interval.saturating_mul(tick_budget),
+            interval: min_interval,
+            ticks: 0,
+            records: 0,
+        }
+    }
+
+    /// `R`: the most records the recovery buffer holds at a tick end.
+    #[must_use]
+    pub fn max_records(&self) -> u64 {
+        self.max_records
+    }
+
+    /// Ticks between snapshots while the record budget is not binding.
+    #[must_use]
+    pub fn interval(&self) -> u64 {
+        self.interval
+    }
+
+    /// Counts one applied record.
+    pub fn record(&mut self) {
+        self.records += 1;
+    }
+
+    /// Counts one tick end; whether a snapshot is due at it.
+    pub fn tick_end(&mut self) -> bool {
+        self.ticks += 1;
+        self.ticks >= self.interval || self.records + self.tick_budget > self.max_records
+    }
+
+    /// A snapshot committed: the buffer is empty again, and the interval
+    /// doubles, up to `R` ticks.
+    pub fn snapshotted(&mut self) {
+        self.ticks = 0;
+        self.records = 0;
+        self.interval = self.interval.saturating_mul(2).min(self.max_records);
+    }
+}
+
 /// Bytes [`truncate_decision_log`] first reads from the end of a log.
 /// The window doubles until it holds the cut, so a restart reads about
 /// the unsnapshotted tail, not the whole history.
@@ -643,6 +723,61 @@ mod tests {
     fn missing_state_file_reads_as_none() {
         let dir = tempdir("missing");
         assert!(read_tenant_state(&tenant_state_path(&dir, 0)).unwrap().is_none());
+    }
+
+    /// Ticks (1-based) at which `cadence` snapshots over `ticks` tick ends
+    /// of `per_tick` records each.
+    fn snapshot_ticks(cadence: &mut SnapshotCadence, ticks: u64, per_tick: u64) -> Vec<u64> {
+        let mut at = Vec::new();
+        for t in 1..=ticks {
+            for _ in 0..per_tick {
+                cadence.record();
+            }
+            if cadence.tick_end() {
+                cadence.snapshotted();
+                at.push(t);
+            }
+        }
+        at
+    }
+
+    #[test]
+    fn cadence_interval_doubles_up_to_the_record_budget_in_ticks() {
+        // R = 3 × 8 = 24 records. With no records the interval alone
+        // decides: 3, 6, 12, then capped at 24 ticks.
+        let mut idle = SnapshotCadence::new(3, 8);
+        assert_eq!(idle.max_records(), 24);
+        assert_eq!(snapshot_ticks(&mut idle, 100, 0), [3, 9, 21, 45, 69, 93]);
+        assert_eq!(idle.interval(), 24);
+        // One record per tick: the record trigger fires once one more
+        // full tick (8) could pass 24, i.e. 17 ticks after a snapshot.
+        let mut sparse = SnapshotCadence::new(3, 8);
+        assert_eq!(snapshot_ticks(&mut sparse, 100, 1), [3, 9, 21, 38, 55, 72, 89]);
+    }
+
+    #[test]
+    fn cadence_resets_for_every_new_incarnation() {
+        let mut first = SnapshotCadence::new(4, 64);
+        snapshot_ticks(&mut first, 500, 1);
+        assert_eq!(first.interval(), 256);
+        // A respawn, adoption or migration builds a fresh cadence.
+        let mut next = SnapshotCadence::new(4, 64);
+        assert_eq!(next.interval(), 4);
+        assert_eq!(snapshot_ticks(&mut next, 4, 1), [4]);
+    }
+
+    #[test]
+    fn cadence_record_trigger_keeps_dense_tenants_at_the_minimum() {
+        // A full budget every tick snapshots every `min_interval` ticks
+        // however far the interval has doubled.
+        let mut dense = SnapshotCadence::new(4, 64);
+        assert_eq!(snapshot_ticks(&mut dense, 252, 1), [4, 12, 28, 60, 124, 252]);
+        assert_eq!(dense.interval(), 256);
+        assert_eq!(snapshot_ticks(&mut dense, 40, 64), [4, 8, 12, 16, 20, 24, 28, 32, 36, 40]);
+        // Half a budget per tick: due once the next tick could pass R.
+        let mut half = SnapshotCadence::new(4, 64);
+        snapshot_ticks(&mut half, 252, 1);
+        assert_eq!(snapshot_ticks(&mut half, 21, 32), [7, 14, 21]);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!   records to tenant queues, closes ticks (which applies
 //!   backpressure — see `queue`), and honours shutdown requests.
 //! - **Workers** (one per tenant): pop admitted work, run engine
-//!   rounds, append decision lines, snapshot on a tick cadence.
+//!   rounds, append decision lines, snapshot on an adaptive cadence
+//!   bounded by a replay budget ([`SnapshotCadence`]).
 //! - **Watchdog**: an Impact-style failure detector. Each tenant
 //!   carries a trust level `e^(-λ·v)` where `v` counts consecutive
 //!   missed progress checks (a check is missed when the heartbeat did
@@ -52,7 +53,7 @@ use crate::queue::{QueuePolicy, QueueStats, SharedQueue, WorkItem};
 use crate::state::{
     clear_tenant_state, decision_log_path, decode_tenant_state, encode_tenant_state,
     read_tenant_state, read_tenant_state_bytes, tenant_state_path, truncate_decision_log,
-    write_tenant_state, StateFile,
+    write_tenant_state, SnapshotCadence, StateFile,
 };
 use crate::tenant::{EngineKind, PositionView, Tenant};
 use crate::wire::{parse_fleet_line, parse_line, FleetMsg, Frame, IngestError, Query, Report};
@@ -128,7 +129,9 @@ pub struct DaemonConfig {
     pub threads: usize,
     /// Per-tenant queue sizing.
     pub queue: QueuePolicy,
-    /// Snapshot every N ticks (≥ 1).
+    /// Minimum snapshot cadence in ticks (≥ 1): a tenant snapshots
+    /// this often while it is dense or newly started, and less often
+    /// while it is sparse and stable ([`SnapshotCadence`]).
     pub snapshot_every: u64,
     /// Tenant state files live here.
     pub state_dir: PathBuf,
@@ -281,6 +284,20 @@ impl LogSink {
         }
         Ok(())
     }
+
+    /// Flushes and `sync_data`s the log, making every line written so
+    /// far durable. Runs before each snapshot write, so a durable
+    /// snapshot at round `r` never outlives log lines `1..=r`.
+    fn sync(&mut self, epoch: u64) -> Result<(), DaemonError> {
+        if epoch != self.epoch {
+            return Ok(());
+        }
+        if let Some(f) = self.file.as_mut() {
+            f.flush().map_err(DaemonError::Io)?;
+            f.get_ref().sync_data().map_err(DaemonError::Io)?;
+        }
+        Ok(())
+    }
 }
 
 /// Health state byte shared with the router.
@@ -292,6 +309,8 @@ const HEALTH_PROBATION: u8 = 2;
 struct SlotShared {
     heartbeat: AtomicU64,
     applied: AtomicU64,
+    /// Snapshots committed, across incarnations.
+    snapshots: AtomicU64,
     shed_quarantine: AtomicU64,
     health: AtomicU8,
     /// Wall-clock latency of each answered query, for the p99 figure.
@@ -310,6 +329,7 @@ impl SlotShared {
         SlotShared {
             heartbeat: AtomicU64::new(0),
             applied: AtomicU64::new(0),
+            snapshots: AtomicU64::new(0),
             shed_quarantine: AtomicU64::new(0),
             health: AtomicU8::new(HEALTH_ACTIVE),
             query_latency: latency::Histogram::new(),
@@ -369,6 +389,8 @@ pub struct TenantSummary {
     pub id: usize,
     /// Event rounds applied across all incarnations of this process.
     pub applied: u64,
+    /// Snapshots committed across all incarnations of this process.
+    pub snapshots: u64,
     /// Queue counters (offered/admitted/shed/duplicates/waits).
     pub stats: QueueStats,
     /// Records dropped while the tenant was quarantined.
@@ -441,7 +463,7 @@ struct WorkerTask {
     state_path: PathBuf,
     /// Opened at this incarnation's first snapshot commit.
     state: Option<StateFile>,
-    snapshot_every: u64,
+    cadence: SnapshotCadence,
     fault: WorkerFault,
     recovery: Vec<WorkItem>,
     backoff_seed: u64,
@@ -456,7 +478,12 @@ fn lock_sink(sink: &Mutex<LogSink>) -> MutexGuard<'_, LogSink> {
     sink.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Snapshots the tenant: syncs its decision log, then encodes the state
+/// and commits it. The log sync runs first and outside the queue lock,
+/// so the router is not held up by it, and a durable snapshot at round
+/// `r` implies durable log lines `1..=r`.
 fn write_snapshot(task: &mut WorkerTask) -> Result<(), DaemonError> {
+    lock_sink(&task.sink).sync(task.epoch)?;
     let (highwater, stats) = task.queue.snapshot_view();
     let bytes = encode_tenant_state(&task.tenant, &highwater, stats)?;
     let mut backoff = JitteredBackoff::new(task.backoff_seed, 2, 64);
@@ -474,7 +501,13 @@ fn write_snapshot(task: &mut WorkerTask) -> Result<(), DaemonError> {
             };
             file.write(&bytes)
         }) {
-            Ok(_committed) => return Ok(()),
+            Ok(committed) => {
+                if committed {
+                    task.shared.snapshots.fetch_add(1, Ordering::SeqCst);
+                }
+                task.cadence.snapshotted();
+                return Ok(());
+            }
             Err(e) if attempts < 3 => {
                 attempts += 1;
                 std::thread::sleep(backoff.next_delay());
@@ -487,7 +520,7 @@ fn write_snapshot(task: &mut WorkerTask) -> Result<(), DaemonError> {
 
 fn answer_query(tenant: &Tenant, query: Query) {
     match query {
-        Query::Trust { tenant: id, node } => match tenant.trust_of(node) {
+        Query::Trust { tenant: id, node } => match tenant.trust_index_of(node) {
             Some(v) => println!("A trust {id} {node} {v}"),
             None => println!("A trust {id} {node} -"),
         },
@@ -540,6 +573,7 @@ fn process_item(
             // boundaries (or at the size cap on record-dense ticks).
             task.tenant.apply_into(&r, buf);
             buf.push('\n');
+            task.cadence.record();
             if buf.len() >= LINE_BUFFER_FLUSH_BYTES {
                 flush_lines(task, buf)?;
             }
@@ -549,11 +583,15 @@ fn process_item(
         WorkItem::TickEnd(t) => {
             flush_lines(task, buf)?;
             lock_sink(&task.sink).flush(task.epoch)?;
-            // Snapshots are suppressed during recovery replay: the live
-            // highwater map is ahead of the replay cursor, and pairing
-            // it with a mid-replay engine state would poison a later
-            // process restart.
-            if live && t % task.snapshot_every == 0 {
+            // Replayed ticks count toward the cadence (they are in the
+            // recovery buffer), but snapshots are suppressed during
+            // recovery replay: the live highwater map is ahead of the
+            // replay cursor, and pairing it with a mid-replay engine
+            // state would poison a later process restart. A snapshot
+            // that fell due during the replay is taken at the first live
+            // tick end.
+            let due = task.cadence.tick_end();
+            if live && due {
                 write_snapshot(task)?;
             }
             // Publish this tick's final positions before acknowledging
@@ -649,7 +687,7 @@ fn spawn_incarnation(
         cancel,
         state_path: tenant_state_path(&cfg.state_dir, id),
         state: None,
-        snapshot_every: cfg.snapshot_every,
+        cadence: SnapshotCadence::new(cfg.snapshot_every, cfg.queue.tick_budget),
         fault: cfg.fault_for(id),
         recovery,
         backoff_seed: cfg.master_seed ^ (id as u64) ^ (incarnation << 32),
@@ -1295,6 +1333,7 @@ impl Daemon {
             tenants.push(TenantSummary {
                 id: slot.id,
                 applied: slot.shared.applied.load(Ordering::SeqCst),
+                snapshots: slot.shared.snapshots.load(Ordering::SeqCst),
                 stats: slot.queue.stats(),
                 shed_quarantine: slot.shared.shed_quarantine.load(Ordering::SeqCst),
                 restarts: slot.restarts,
@@ -1990,6 +2029,7 @@ impl DaemonReport {
         for t in &self.tenants {
             let p = format!("daemon.t{}", t.id);
             out.push((format!("{p}.applied"), t.applied));
+            out.push((format!("{p}.snapshots"), t.snapshots));
             out.push((format!("{p}.offered"), t.stats.offered));
             out.push((format!("{p}.admitted"), t.stats.admitted));
             out.push((format!("{p}.shed"), t.stats.shed_total()));

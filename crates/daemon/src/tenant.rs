@@ -275,15 +275,33 @@ impl Tenant {
         }
     }
 
-    /// Trust state of one node — its raw fault counter, the same bits
-    /// the decision-line digest covers — or `None` out of range. One
-    /// binary search in the owning cluster, no trust-vector copy.
+    /// Raw fault counter `v` of one node — the same bits the
+    /// decision-line digest covers and the engines'
+    /// `trust_snapshot` holds — or `None` out of range. One binary
+    /// search in the owning cluster, no trust-vector copy. Not the trust
+    /// index, which `Q trust` answers ([`Self::trust_index_of`]); the
+    /// benchmark ledger compares these bits with a twin engine's.
     #[must_use]
     pub fn trust_of(&self, node: usize) -> Option<f64> {
         match &self.engine {
             TenantEngine::Sequential(e) => e.counter_of(NodeId(node)),
             TenantEngine::Sharded(e) => e.counter_of(NodeId(node)),
         }
+    }
+
+    /// Trust index of one node as its cluster head holds it: the cached
+    /// `TI = e^(-λ·v)`, bit-exact, in (0, 1] — what `Q trust` answers.
+    /// `None` out of range. Like every read of the cached index, it
+    /// counts in the trust table's `ti_reads`.
+    #[must_use]
+    pub fn trust_index_of(&self, node: usize) -> Option<f64> {
+        if node >= self.scenario.nodes {
+            return None;
+        }
+        Some(match &self.engine {
+            TenantEngine::Sequential(e) => e.trust_of(NodeId(node)),
+            TenantEngine::Sharded(e) => e.trust_of(NodeId(node)),
+        })
     }
 
     /// FNV-1a digest over the bit-exact trust vector — a cheap

@@ -71,7 +71,9 @@ pub struct Report {
 /// A read-only query frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Query {
-    /// Trust index of `node` in `tenant`'s field (bit-exact `f64`).
+    /// Trust index of `node` in `tenant`'s field: the `e^(-λ·v)` its
+    /// cluster head holds, in (0, 1], bit-exact `f64`. Answered as
+    /// `A trust <tenant> <node> <ti>`, or `-` for an unknown node.
     Trust {
         /// Hosted field index.
         tenant: usize,

@@ -235,9 +235,10 @@ fn abort_past_the_snapshot_cuts_the_log_and_resumes_byte_identical() {
     run_ok(&serve_args(replay, ref_dir.to_str().unwrap(), &seed_s, "sharded"));
     let reference = decisions(&ref_dir);
 
-    // Abort after tick 20: the last snapshot is tick 18's, and the
-    // logs already hold tick 19 (each tick completes before the next
-    // one is issued), so the restart has lines to cut.
+    // Abort after tick 20: the cadence (every 3 ticks, doubling) last
+    // snapshotted at tick 9, and the logs already hold tick 19 (each
+    // tick completes before the next one is issued), so the restart
+    // has lines to cut.
     let crash_dir = root.join("crash");
     let crash_dir_s = crash_dir.to_str().unwrap().to_string();
     let mut args = serve_args(replay, &crash_dir_s, &seed_s, "sharded");
@@ -259,6 +260,65 @@ fn abort_past_the_snapshot_cuts_the_log_and_resumes_byte_identical() {
         decisions(&crash_dir),
         "resume after a non-empty cut must be byte-identical"
     );
+}
+
+#[test]
+fn sparse_abort_past_capped_intervals_replays_at_most_the_record_budget() {
+    // One record per tenant per tick, every 3 ticks minimum, budget 8:
+    // R = 24 records, which caps the doubling interval (3, 6, 12, then
+    // a snapshot every 17 ticks) well before the abort at tick 100.
+    let (every, budget, abort) = (3u64, 8u64, 100u64);
+    let r = every * budget;
+    let seed = 970u64;
+    let root = fresh_dir("sparse-budget");
+    let replay = gen_replay(&root, seed, 120);
+    let replay = replay.to_str().unwrap();
+    let seed_s = seed.to_string();
+    let (every_s, budget_s, abort_s) = (every.to_string(), budget.to_string(), abort.to_string());
+    let args = |dir: &str| {
+        let mut args = serve_args(replay, dir, &seed_s, "seq");
+        *args.last_mut().unwrap() = &every_s;
+        args.extend_from_slice(&["--budget", &budget_s]);
+        args.into_iter().map(str::to_string).collect::<Vec<_>>()
+    };
+
+    let ref_dir = root.join("ref");
+    let stdout = run_ok(&args(ref_dir.to_str().unwrap()).iter().map(String::as_str).collect::<Vec<_>>());
+    let reference = decisions(&ref_dir);
+    // Snapshots at ticks 3, 9, 21 and every 17 ticks after, plus the
+    // drain's final one: 9, where a fixed 3-tick cadence takes 41.
+    for t in 0..TENANTS {
+        let snapshots = counter(&stdout, &format!("daemon.t{t}.snapshots"));
+        assert!((9..20).contains(&snapshots), "tenant {t}: {snapshots} snapshots");
+    }
+
+    let crash_dir = root.join("crash");
+    let crash_dir_s = crash_dir.to_str().unwrap().to_string();
+    let mut crash_args = args(&crash_dir_s);
+    crash_args.extend(["--crash-after-ticks".to_string(), abort_s]);
+    let out = Command::new(bin()).args(&crash_args).output().expect("binary spawns");
+    assert!(!out.status.success(), "the crash plan must abort the run");
+    for t in 0..TENANTS {
+        let round = restored_round(&tenant_state_path(&crash_dir, t)).expect("snapshot on disk");
+        // The snapshot holds all but at most R of the records issued
+        // before the abort (the cadence's last one is at tick 89).
+        assert!(abort - round <= r, "tenant {t}: {} records past round {round}", abort - round);
+    }
+
+    run_ok(&args(&crash_dir_s).iter().map(String::as_str).collect::<Vec<_>>());
+    assert_eq!(
+        reference,
+        decisions(&crash_dir),
+        "resume after a capped-interval abort must be byte-identical"
+    );
+}
+
+/// The value of exit-report counter `key` in a daemon's stdout.
+fn counter(stdout: &str, key: &str) -> u64 {
+    stdout
+        .lines()
+        .find_map(|l| l.strip_prefix(key)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no {key} in\n{stdout}"))
 }
 
 /// Round `path`'s state restores at (`None` for no state).
@@ -302,8 +362,8 @@ fn sigkill_then_torn_newest_slot_resumes_from_the_older_slot() {
     let reference = decisions(&ref_dir);
 
     // Feed 20 of the 30 ticks over stdin with a round probe per tenant
-    // in tick 20, wait for both answers (so the tick-18 snapshots are
-    // on disk), then SIGKILL.
+    // in tick 20, wait for both answers (so the snapshots of ticks 3
+    // and 9, one per slot, are on disk), then SIGKILL.
     let text = std::fs::read_to_string(&replay_path).expect("replay readable");
     let mut fed = String::new();
     let mut ticks = 0;
