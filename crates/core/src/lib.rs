@@ -47,7 +47,7 @@
 //! assert!(outcome.event_declared);
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod binary;
@@ -57,7 +57,6 @@ pub mod fixed;
 pub mod lifecycle;
 pub mod location;
 pub mod shadow;
-pub mod simd_kernel;
 pub mod trust;
 pub mod vote;
 

@@ -20,13 +20,12 @@
 //! The whole decision runs in [`decide_located_into`], which fills a
 //! [`LocatedScratch`] the caller keeps between rounds: every buffer
 //! (clustering state, the flattened R/NR/outlier lists, the neighbor
-//! bitmasks, the batched-weight arena, the judgements) is cleared, never
-//! dropped, so a cluster head that reuses one scratch decides without
-//! touching the allocator once its buffers have grown to the round's
-//! shape. [`cluster_reports`] and [`decide_located`] are thin wrappers
-//! that copy the scratch out into owned values.
+//! bitmasks, the judgements) is cleared, never dropped, so a cluster
+//! head that reuses one scratch decides without touching the allocator
+//! once its buffers have grown to the round's shape. [`cluster_reports`]
+//! and [`decide_located`] are thin wrappers that copy the scratch out
+//! into owned values.
 
-use crate::simd_kernel::GroupArena;
 use crate::trust::Judgement;
 use crate::vote::{VoteOutcome, Weighting};
 use tibfit_net::geometry::Point;
@@ -107,8 +106,6 @@ pub struct LocatedScratch {
     /// One bit per local id: supports the current cluster. All zero
     /// between clusters.
     support_mask: Vec<u64>,
-    arena: GroupArena,
-    weights: Vec<f64>,
     judgements: Vec<(NodeId, Judgement)>,
 }
 
@@ -181,8 +178,6 @@ impl LocatedScratch {
         self.non_reporters.reserve(2 * nodes);
         self.neighbor_mask.reserve(nodes.div_ceil(64));
         self.support_mask.reserve(nodes.div_ceil(64));
-        self.arena.reserve(4 * nodes, 2 * nodes);
-        self.weights.reserve(2 * nodes);
         self.judgements.reserve(3 * nodes);
     }
 
@@ -481,11 +476,9 @@ fn bit(mask: &[u64], i: usize) -> bool {
 /// * the event is declared at `cg` iff the weighted `R` beats `NR`.
 ///
 /// Membership tests go through two local-id bitmasks (event neighbor,
-/// supporter), set and cleared per cluster. All R/NR groups of the window
-/// are weighed in one batched pass
-/// ([`Weighting::group_weights_batch`]); per group the weights are
-/// bit-identical to [`crate::vote::run_vote`]'s (same members, same
-/// order, same normalization), and so is the `ti_reads` total.
+/// supporter), set and cleared per cluster. Each R/NR group is weighed
+/// with [`Weighting::group_weight`], as in [`crate::vote::run_vote`]
+/// (same members, same order, same normalization).
 ///
 /// # Panics
 ///
@@ -505,7 +498,6 @@ pub fn decide_located_into(
     s.non_reporters.clear();
     s.outliers.clear();
     s.non_neighbors.clear();
-    s.arena.clear();
     let words = positions.len().div_ceil(64);
     if s.neighbor_mask.len() < words {
         s.neighbor_mask.resize(words, 0);
@@ -547,19 +539,13 @@ pub fn decide_located_into(
             s.neighbor_mask[i / 64] &= !(1 << (i % 64));
             s.support_mask[i / 64] &= !(1 << (i % 64));
         }
-        s.arena.push_group(&s.reporters[r0..]);
-        s.arena.push_group(&s.non_reporters[nr0..]);
         let slot = &mut s.decisions[d];
+        slot.reporting_weight = weighting.group_weight(&s.reporters[r0..]);
+        slot.non_reporting_weight = weighting.group_weight(&s.non_reporters[nr0..]);
         slot.r_end = s.reporters.len();
         slot.nr_end = s.non_reporters.len();
         slot.outliers_end = s.outliers.len();
         slot.non_neighbors_end = s.non_neighbors.len();
-    }
-
-    weighting.group_weights_batch(&mut s.arena, &mut s.weights);
-    for (slot, w) in s.decisions.iter_mut().zip(s.weights.chunks_exact(2)) {
-        slot.reporting_weight = w[0];
-        slot.non_reporting_weight = w[1];
     }
 
     s.judgements.clear();
@@ -874,7 +860,7 @@ mod tests {
 
     #[test]
     fn batched_decisions_match_per_cluster_vote_bitwise() {
-        // The batched weighing inside decide_located must reproduce the
+        // The weighing inside decide_located must reproduce the
         // historical per-cluster run_vote path exactly — same partition,
         // same weights bitwise, same ti_reads — across a multi-cluster
         // window with quarantined nodes, outliers, and false alarms.
@@ -903,7 +889,7 @@ mod tests {
         for weighting in [Weighting::Trust(&table), Weighting::Uniform] {
             let reads_before = table.ti_reads();
             let decisions = decide_located(&topo, 20.0, 5.0, &reports, &weighting);
-            let batched_reads = table.ti_reads() - reads_before;
+            let scratch_reads = table.ti_reads() - reads_before;
             assert!(decisions.len() >= 2, "expected multiple clusters");
 
             // Oracle: re-derive each decision with the single-cluster
@@ -941,7 +927,7 @@ mod tests {
                 assert_eq!(got.non_neighbor_reporters, nnr);
             }
             let oracle_reads = table.ti_reads() - reads_before;
-            assert_eq!(batched_reads, oracle_reads, "ti_reads accounting diverged");
+            assert_eq!(scratch_reads, oracle_reads, "ti_reads accounting diverged");
         }
     }
 }

@@ -19,22 +19,7 @@ use std::fmt;
 use tibfit_net::topology::NodeId;
 
 use crate::fixed;
-use crate::simd_kernel::{self, AlignedSlab};
 use tibfit_sim::arena::{gather_tail, settle_tail};
-
-/// One R/NR pair's outcome from [`TrustTable::decide_batch`]: the
-/// normalized group weights and the paper's decision rule applied to
-/// them (`reporting_weight > non_reporting_weight`; ties declare no
-/// event).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchVerdict {
-    /// Normalized cumulative trust of the reporting group.
-    pub reporting_weight: f64,
-    /// Normalized cumulative trust of the non-reporting group.
-    pub non_reporting_weight: f64,
-    /// Whether the pair declares an event.
-    pub event_declared: bool,
-}
 
 /// The weight-slot sentinel marking a quarantined node: `-0.0`, whose
 /// addition leaves a non-negative IEEE-754 accumulator bit-identical,
@@ -52,6 +37,185 @@ pub const QUARANTINE_WEIGHT: f64 = -0.0;
 #[must_use]
 pub fn is_quarantined_weight(w: f64) -> bool {
     w.is_sign_negative()
+}
+
+/// The f64 CTI fold over dense weight slots: seeds `-0.0` (like
+/// `Iterator::sum::<f64>`), adds strictly in group order, and counts one
+/// read per sign-positive weight (quarantined slots hold `-0.0`, whose
+/// addition is bit-neutral and whose sign marks "no read"). Chunked by 4
+/// to unroll the order-free gathers and read counting; the additions
+/// themselves stay in order, because float addition does not commute
+/// bitwise and the golden outputs pin the exact bits.
+///
+/// Returns `(sum, reads)`.
+#[inline]
+fn fold_group_f64(weights: &[f64], group: &[NodeId]) -> (f64, u64) {
+    let mut sum = -0.0f64;
+    let mut reads = 0u64;
+    let mut chunks = group.chunks_exact(4);
+    for c in chunks.by_ref() {
+        let w0 = weights[c[0].index()];
+        let w1 = weights[c[1].index()];
+        let w2 = weights[c[2].index()];
+        let w3 = weights[c[3].index()];
+        reads += u64::from(w0.is_sign_positive())
+            + u64::from(w1.is_sign_positive())
+            + u64::from(w2.is_sign_positive())
+            + u64::from(w3.is_sign_positive());
+        sum += w0;
+        sum += w1;
+        sum += w2;
+        sum += w3;
+    }
+    for n in chunks.remainder() {
+        let w = weights[n.index()];
+        reads += u64::from(!is_quarantined_weight(w));
+        sum += w;
+    }
+    (sum, reads)
+}
+
+/// The Q16.16 CTI fold: an all-integer branch-free pass. The quarantine
+/// sentinel is `-1`, so `!(w >> 63)` is an all-ones mask exactly for
+/// participating members — one AND folds the weight, one more counts the
+/// read. Integer addition is exact, so the sum does not depend on order.
+///
+/// Returns `(sum, reads)`; convert with [`fixed::cti_sum_to_f64`].
+#[inline]
+fn fold_group_q16(weights: &[i64], group: &[NodeId]) -> (i64, u64) {
+    let mut sum = 0i64;
+    let mut reads = 0u64;
+    let mut chunks = group.chunks_exact(4);
+    for c in chunks.by_ref() {
+        let w0 = weights[c[0].index()];
+        let w1 = weights[c[1].index()];
+        let w2 = weights[c[2].index()];
+        let w3 = weights[c[3].index()];
+        let (m0, m1, m2, m3) = (!(w0 >> 63), !(w1 >> 63), !(w2 >> 63), !(w3 >> 63));
+        sum += (w0 & m0) + (w1 & m1) + (w2 & m2) + (w3 & m3);
+        reads += ((m0 & 1) + (m1 & 1) + (m2 & 1) + (m3 & 1)) as u64;
+    }
+    for n in chunks.remainder() {
+        let w = weights[n.index()];
+        let m = !(w >> 63);
+        sum += w & m;
+        reads += (m & 1) as u64;
+    }
+    (sum, reads)
+}
+
+/// One cache line, in bytes: the alignment quantum of [`AlignedSlab`].
+const CACHE_LINE: usize = 64;
+
+/// A fixed-length slab whose exposed window starts on a cache-line
+/// boundary — safe code only: the backing `Vec` is over-allocated by one
+/// cache line and the aligned sub-slice is exposed through `Deref`.
+///
+/// Holds the trust table's hot weight slots, so two tables' (two
+/// shards') slots never share a line. The element type must evenly
+/// divide [`CACHE_LINE`].
+#[derive(Debug)]
+struct AlignedSlab<T> {
+    raw: Vec<T>,
+    off: usize,
+    len: usize,
+}
+
+impl<T: Copy> AlignedSlab<T> {
+    /// A slab of `len` elements, each initialized to `fill`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `size_of::<T>()` is zero or does not divide
+    /// [`CACHE_LINE`].
+    fn filled(len: usize, fill: T) -> Self {
+        let elem = std::mem::size_of::<T>();
+        assert!(
+            elem > 0 && CACHE_LINE.is_multiple_of(elem),
+            "AlignedSlab element size must divide the cache line"
+        );
+        let pad = CACHE_LINE / elem;
+        let raw = vec![fill; len + pad];
+        let addr = raw.as_ptr() as usize;
+        // Vec<T> allocations are aligned to T, so the distance to the
+        // next line boundary is a whole number of elements.
+        let off = ((CACHE_LINE - (addr % CACHE_LINE)) % CACHE_LINE) / elem;
+        AlignedSlab { raw, off, len }
+    }
+
+    /// A slab holding a copy of `src`.
+    fn from_slice(src: &[T]) -> Self {
+        match src.first() {
+            None => Self::empty(),
+            Some(&f) => {
+                let mut slab = Self::filled(src.len(), f);
+                slab.copy_from_slice(src);
+                slab
+            }
+        }
+    }
+
+    /// The empty slab.
+    fn empty() -> Self {
+        AlignedSlab {
+            raw: Vec::new(),
+            off: 0,
+            len: 0,
+        }
+    }
+
+    /// Makes room for at least `additional` more elements without a
+    /// further allocation, moving to a fresh, re-aligned allocation if
+    /// needed. `fill` initializes the new spare room.
+    fn reserve(&mut self, additional: usize, fill: T) {
+        if self.off + self.len + additional > self.raw.len() {
+            let mut grown = Self::filled(self.len + additional, fill);
+            grown[..self.len].copy_from_slice(self);
+            grown.len = self.len;
+            *self = grown;
+        }
+    }
+
+    /// Appends one element. Past the spare room behind the aligned
+    /// window the slab doubles into a fresh, re-aligned allocation, so a
+    /// slab whose length wanders below its high-water mark stops
+    /// allocating.
+    fn push(&mut self, value: T) {
+        if self.off + self.len == self.raw.len() {
+            self.reserve(self.len.max(4), value);
+        }
+        self.raw[self.off + self.len] = value;
+        self.len += 1;
+    }
+
+    /// Shortens the slab to `len` elements, keeping the allocation; a
+    /// no-op if it is already that short.
+    fn truncate(&mut self, len: usize) {
+        self.len = self.len.min(len);
+    }
+}
+
+impl<T: Copy> Clone for AlignedSlab<T> {
+    fn clone(&self) -> Self {
+        // Re-deriving the offset for the clone's own allocation keeps the
+        // alignment guarantee (a derived clone would copy a stale offset).
+        Self::from_slice(self)
+    }
+}
+
+impl<T> std::ops::Deref for AlignedSlab<T> {
+    type Target = [T];
+    #[inline]
+    fn deref(&self) -> &[T] {
+        &self.raw[self.off..self.off + self.len]
+    }
+}
+
+impl<T> std::ops::DerefMut for AlignedSlab<T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.raw[self.off..self.off + self.len]
+    }
 }
 
 /// Which arithmetic backend evaluates the TI update and the
@@ -378,8 +542,8 @@ pub struct TrustTable {
     /// the node, so the branch-free sum reproduces the filtered sum
     /// exactly; the sign bit doubles as the participation flag (every real
     /// TI is `>= +0.0`), which is how reads are counted without touching
-    /// `status`. Cache-line aligned so the SIMD batch kernels' gathers
-    /// start on a line boundary and two tables never share a hot line.
+    /// `status`. Cache-line aligned so two tables never share a hot
+    /// line.
     weights: AlignedSlab<f64>,
     /// Q16.16 source of truth for the fault counters — populated only
     /// on the fixed-point backend (empty otherwise). `counters` then
@@ -628,11 +792,7 @@ impl TrustTable {
         if self.fixed.is_some() {
             return self.cumulative_trust_q16(group);
         }
-        // The f64 fold is pinned bitwise to the sequential group-order
-        // sum, so the single-group path always runs the shared scalar
-        // fold — SIMD pays off only across groups (see
-        // [`TrustTable::cumulative_trust_batch`]).
-        let (sum, reads) = simd_kernel::fold_group_f64(&self.weights, group);
+        let (sum, reads) = fold_group_f64(&self.weights, group);
         self.ti_reads.set(self.ti_reads.get() + reads);
         sum
     }
@@ -642,76 +802,13 @@ impl TrustTable {
     /// `!(w >> 63)` is an all-ones mask exactly for participating
     /// members — one AND folds the weight, one more counts the read.
     /// The integer sum is exact (no float rounding, no ordering
-    /// sensitivity) — which also means it may run through the vertical
-    /// SIMD kernel for large groups with exactly equal results; the
-    /// result converts losslessly to f64 and keeps the ±0.0 contract of
-    /// the float fold: `-0.0` iff no member participated, `+0.0` for
-    /// participating members that sum to zero.
+    /// sensitivity); the result converts losslessly to f64 and keeps the
+    /// ±0.0 contract of the float fold: `-0.0` iff no member
+    /// participated, `+0.0` for participating members that sum to zero.
     fn cumulative_trust_q16(&self, group: &[NodeId]) -> f64 {
-        let (sum, reads) = simd_kernel::cti_q16_single(&self.weights_q, group);
+        let (sum, reads) = fold_group_q16(&self.weights_q, group);
         self.ti_reads.set(self.ti_reads.get() + reads);
         fixed::cti_sum_to_f64(sum, reads)
-    }
-
-    /// Batched CTI: evaluates every group in `arena` in one pass over
-    /// the weight slots, writing each group's cumulative trust to
-    /// `out[g]` in group-push order. Each result carries the exact bits
-    /// the corresponding [`TrustTable::cumulative_trust`] call would
-    /// return (including the `-0.0` empty/all-quarantined sentinel), and
-    /// `ti_reads` advances by the same total — the batch is
-    /// observationally identical to the per-group loop, it only
-    /// amortizes dispatch and interleaves the folds' dependency chains
-    /// ([`simd_kernel::cti_batch_f64`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an arena index is out of range for this table.
-    pub fn cumulative_trust_batch(&self, arena: &mut simd_kernel::GroupArena, out: &mut Vec<f64>) {
-        let reads = if self.fixed.is_some() {
-            simd_kernel::cti_batch_q16(&self.weights_q, arena, out)
-        } else {
-            simd_kernel::cti_batch_f64(&self.weights, arena, out)
-        };
-        self.ti_reads.set(self.ti_reads.get() + reads);
-    }
-
-    /// Evaluates many R/NR group pairs in one batched pass and applies
-    /// the paper's decision rule (`CTI_R > CTI_NR`; ties declare no
-    /// event) to each pair.
-    ///
-    /// `arena` must hold an even number of groups — pair `i` is groups
-    /// `2i` (reporting) and `2i+1` (non-reporting). The weights written
-    /// to each verdict carry the vote layer's `±0.0` normalization
-    /// ([`crate::vote::group_weight`] semantics): a nonempty group whose
-    /// sum is the `-0.0` sentinel reports `0.0`. `weights_scratch` is
-    /// caller-provided so steady-state batches allocate nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena holds an odd number of groups or an index out
-    /// of range for this table.
-    pub fn decide_batch(
-        &self,
-        arena: &mut simd_kernel::GroupArena,
-        weights_scratch: &mut Vec<f64>,
-        out: &mut Vec<BatchVerdict>,
-    ) {
-        assert!(
-            arena.group_count().is_multiple_of(2),
-            "decide_batch needs an even number of groups (R/NR pairs)"
-        );
-        self.cumulative_trust_batch(arena, weights_scratch);
-        for (g, w) in weights_scratch.iter_mut().enumerate() {
-            if is_quarantined_weight(*w) && arena.group_len(g) > 0 {
-                *w = 0.0;
-            }
-        }
-        out.clear();
-        out.extend(weights_scratch.chunks_exact(2).map(|pair| BatchVerdict {
-            reporting_weight: pair[0],
-            non_reporting_weight: pair[1],
-            event_declared: pair[0] > pair[1],
-        }));
     }
 
     /// Records a faulty judgement and runs diagnosis.
@@ -2183,5 +2280,39 @@ mod tests {
         let mut s = state.clone();
         s.lambda = 1e-9;
         assert_eq!(TrustTable::from_state(&s).unwrap_err(), TrustStateError::BadParams);
+    }
+
+    #[test]
+    fn slab_push_and_truncate_keep_contents_and_alignment() {
+        let mut slab: AlignedSlab<f64> = AlignedSlab::empty();
+        for i in 0..100 {
+            slab.push(f64::from(i));
+            assert_eq!(slab.as_ptr() as usize % CACHE_LINE, 0);
+            assert_eq!(slab.len(), i as usize + 1);
+        }
+        assert!(slab.iter().enumerate().all(|(i, &v)| v == i as f64));
+        slab.truncate(10);
+        slab.push(-1.0);
+        assert_eq!(&slab[8..], &[8.0, 9.0, -1.0]);
+    }
+
+    #[test]
+    fn aligned_slab_is_cache_line_aligned() {
+        for len in [0usize, 1, 7, 8, 9, 1000] {
+            let slab = AlignedSlab::filled(len, 1.25f64);
+            assert_eq!(slab.len(), len);
+            if len > 0 {
+                assert_eq!(slab.as_ptr() as usize % CACHE_LINE, 0, "len {len}");
+                assert!(slab.iter().all(|&x| x == 1.25));
+            }
+            let cloned = slab.clone();
+            assert_eq!(&*cloned, &*slab);
+            if len > 0 {
+                assert_eq!(cloned.as_ptr() as usize % CACHE_LINE, 0);
+            }
+        }
+        let mut slab = AlignedSlab::from_slice(&[1i64, 2, 3]);
+        slab[1] = 9;
+        assert_eq!(&*slab, &[1, 9, 3]);
     }
 }

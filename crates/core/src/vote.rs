@@ -6,7 +6,6 @@
 //! trust index (the paper's CTI comparison); the baseline system weighs
 //! every node at 1, which degenerates to majority voting.
 
-use crate::simd_kernel::GroupArena;
 use crate::trust::{is_quarantined_weight, TrustTable};
 use tibfit_net::topology::NodeId;
 
@@ -73,41 +72,6 @@ impl Weighting<'_> {
                 } else {
                     group.len() as f64
                 }
-            }
-        }
-    }
-
-    /// Batched [`Weighting::group_weight`]: evaluates every group in
-    /// `arena` in one pass, writing the normalized weight of group `g`
-    /// to `out[g]`. Bit-identical per group to calling `group_weight` in
-    /// a loop — the trust arm runs the batched CTI kernel
-    /// ([`TrustTable::cumulative_trust_batch`]) and then applies the
-    /// same ±0.0 normalization; the uniform arm is the same head-count.
-    ///
-    /// # Panics
-    ///
-    /// Panics under [`Weighting::Trust`] if an arena index is out of
-    /// range for the table.
-    pub fn group_weights_batch(&self, arena: &mut GroupArena, out: &mut Vec<f64>) {
-        match self {
-            Weighting::Trust(table) => {
-                table.cumulative_trust_batch(arena, out);
-                for (g, w) in out.iter_mut().enumerate() {
-                    if is_quarantined_weight(*w) && arena.group_len(g) > 0 {
-                        *w = 0.0;
-                    }
-                }
-            }
-            Weighting::Uniform => {
-                out.clear();
-                out.extend((0..arena.group_count()).map(|g| {
-                    let len = arena.group_len(g);
-                    if len == 0 {
-                        -0.0
-                    } else {
-                        len as f64
-                    }
-                }));
             }
         }
     }

@@ -314,3 +314,102 @@ fn judgements_commute_across_nodes() {
         }
     }
 }
+
+/// The f64 and Q16.16 backends under the same paper parameters.
+fn both_backends() -> [TrustParams; 2] {
+    let params = TrustParams::new(0.5, 0.1);
+    [params, params.with_fixed_point().expect("representable in Q16.16")]
+}
+
+/// An empty group keeps the `-0.0` empty-sum seed, and so does a
+/// nonempty group whose members are all quarantined: quarantined slots
+/// fold in bit-neutrally and cost no read. The vote layer then tells
+/// the two apart — a nonempty group weighs `+0.0`, as the per-node fold
+/// of literal zeros did.
+#[test]
+fn empty_and_all_quarantined_groups_keep_the_minus_zero_sentinel() {
+    for params in both_backends() {
+        let mut table = TrustTable::new(params, 32).with_isolation_threshold(0.9);
+        for i in 0..32 {
+            table.record_faulty(NodeId(i));
+            assert!(table.is_isolated(NodeId(i)));
+        }
+        let all: Vec<NodeId> = (0..32).map(NodeId).collect();
+        let some = [NodeId(3), NodeId(7), NodeId(31)];
+        let weighting = Weighting::Trust(&table);
+        for group in [&[][..], &some[..], &all[..]] {
+            let before = table.ti_reads();
+            let cti = table.cumulative_trust(group);
+            assert_eq!(table.ti_reads(), before, "{:?} len {}", params.arith, group.len());
+            assert_eq!(
+                cti.to_bits(),
+                (-0.0f64).to_bits(),
+                "{:?} len {} lost the -0.0 sentinel",
+                params.arith,
+                group.len()
+            );
+            let want = if group.is_empty() { -0.0f64 } else { 0.0 };
+            assert_eq!(
+                weighting.group_weight(group).to_bits(),
+                want.to_bits(),
+                "{:?} len {}",
+                params.arith,
+                group.len()
+            );
+        }
+    }
+}
+
+/// On random tables (quarantine, probation and reintegration churn) and
+/// random groups — empties, repeats, lengths past every chunk width —
+/// the CTI fold equals the status-filtered left fold bitwise, the vote
+/// weight equals the per-node fold bitwise, and each charges exactly one
+/// `ti_reads` per participating member, on both backends.
+#[test]
+fn random_groups_fold_bitwise_and_charge_one_read_per_participant() {
+    for params in both_backends() {
+        for seed in case_seeds(12) {
+            let mut rng = SimRng::seed_from(seed);
+            let n = 1 + rng.uniform_usize(300);
+            let mut table = TrustTable::new(params, n)
+                .with_isolation_threshold(0.5)
+                .with_reintegration(2, 3);
+            for _ in 0..rng.uniform_usize(4) {
+                for i in 0..n {
+                    if rng.chance(0.4) {
+                        table.record_faulty(NodeId(i));
+                    } else {
+                        table.record_correct(NodeId(i));
+                    }
+                }
+                table.tick_round();
+            }
+            for _ in 0..20 {
+                let len = match rng.uniform_usize(4) {
+                    0 => rng.uniform_usize(5),
+                    1 => 255 + rng.uniform_usize(3),
+                    _ => rng.uniform_usize(64),
+                };
+                let group: Vec<NodeId> = (0..len).map(|_| NodeId(rng.uniform_usize(n))).collect();
+                let participants = group.iter().filter(|&&m| !table.is_isolated(m)).count() as u64;
+                let reference: f64 = group
+                    .iter()
+                    .filter(|&&m| !table.is_isolated(m))
+                    .map(|&m| table.trust_of(m))
+                    .sum();
+                let weighting = Weighting::Trust(&table);
+                let per_node: f64 = group.iter().map(|&m| weighting.weight_of(m)).sum();
+
+                let before = table.ti_reads();
+                let cti = table.cumulative_trust(&group);
+                assert_eq!(table.ti_reads() - before, participants, "seed {seed} len {len}");
+                assert_eq!(cti.to_bits(), reference.to_bits(), "seed {seed} len {len}");
+
+                let before = table.ti_reads();
+                let weight = weighting.group_weight(&group);
+                assert_eq!(table.ti_reads() - before, participants, "seed {seed} len {len}");
+                assert_eq!(weight.to_bits(), per_node.to_bits(), "seed {seed} len {len}");
+            }
+        }
+    }
+}

@@ -234,13 +234,21 @@ impl SharedQueue {
         self.lock().stats = stats;
     }
 
-    /// Migration-restore path: marks `issued` ticks as
-    /// issued-but-not-yet-complete, so the next [`SharedQueue::end_tick`]
-    /// waits for the installed recovery buffer's replay (which completes
-    /// ticks `1..=issued`) to settle the engine before admitting a new
-    /// batch against it.
-    pub fn seed_ticks(&self, issued: u64) {
-        self.lock().issued_ticks = issued;
+    /// Migration-restore path: installs `items`, a migration bundle's
+    /// renumbered replay, as the recovery buffer, and marks its ticks
+    /// issued-but-not-yet-complete. A worker that fails before its first
+    /// snapshot then replays the bundle again on respawn, and the next
+    /// [`SharedQueue::end_tick`] waits for the replay (which completes
+    /// ticks `1..=n`, one per [`WorkItem::TickEnd`]) to settle the
+    /// engine before admitting a new batch against it. Returns `n`.
+    pub fn seed_replay(&self, items: Vec<WorkItem>) -> u64 {
+        let mut st = self.lock();
+        st.issued_ticks = items
+            .iter()
+            .filter(|i| matches!(i, WorkItem::TickEnd(_)))
+            .count() as u64;
+        st.replay = items;
+        st.issued_ticks
     }
 
     /// Removes and returns the open tick's pending records (migration
@@ -790,7 +798,14 @@ mod tests {
     #[test]
     fn seeded_ticks_make_end_tick_wait_for_replay_completion() {
         let q = std::sync::Arc::new(SharedQueue::new(policy(4, 4)));
-        q.seed_ticks(3);
+        let replay = vec![
+            WorkItem::Record(report(1, 1, 0.0)),
+            WorkItem::TickEnd(1),
+            WorkItem::TickEnd(2),
+            WorkItem::Record(report(1, 2, 0.0)),
+            WorkItem::TickEnd(3),
+        ];
+        assert_eq!(q.seed_replay(replay.clone()), 3);
         assert!(q.has_outstanding());
         let q2 = q.clone();
         let h = std::thread::spawn(move || q2.end_tick(4, |_| 0));
@@ -798,6 +813,11 @@ mod tests {
         // Replay completing tick 3 releases the parked end_tick.
         q.complete_tick(0, 3);
         assert_eq!(h.join().unwrap(), TickAdmission::default());
+        // Until a snapshot commits, a respawn replays the seeded items
+        // ahead of the ticks issued since.
+        let (_, buffer) = q.recovery_view();
+        assert_eq!(&buffer[..replay.len()], &replay[..]);
+        assert_eq!(buffer.last(), Some(&WorkItem::TickEnd(4)));
     }
 
     #[test]

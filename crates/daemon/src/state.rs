@@ -542,14 +542,15 @@ mod tests {
         let sc = scenario(3);
         let mut tenant = Tenant::new(2, sc.clone(), EngineKind::Sequential, 1).unwrap();
         for (i, p) in sc.events(3).into_iter().enumerate() {
-            tenant.apply(&crate::wire::Report {
+            let report = crate::wire::Report {
                 tenant: 2,
                 time: i as u64,
                 src: 2,
                 seq: i as u64 + 1,
                 x: p.x,
                 y: p.y,
-            });
+            };
+            tenant.apply_into(&report, &mut String::new());
         }
         let hw = vec![(2u64, 3u64)];
         let stats = QueueStats {
@@ -592,14 +593,15 @@ mod tests {
         let sc = scenario(7);
         let mut tenant = Tenant::new(0, sc.clone(), EngineKind::Sequential, 1).unwrap();
         for (i, p) in sc.events(rounds as usize).into_iter().enumerate() {
-            tenant.apply(&crate::wire::Report {
+            let report = crate::wire::Report {
                 tenant: 0,
                 time: i as u64,
                 src: 0,
                 seq: i as u64 + 1,
                 x: p.x,
                 y: p.y,
-            });
+            };
+            tenant.apply_into(&report, &mut String::new());
         }
         encode_tenant_state(&tenant, &[(0, rounds)], QueueStats::default()).unwrap()
     }

@@ -950,13 +950,12 @@ fn write_router(
 }
 
 /// Queue seeding for a slot built from a migration bundle: the live
-/// highwaters/stats (ahead of the snapshot's), the recovery buffer to
-/// replay, and how many renumbered ticks that buffer completes.
+/// highwaters/stats (ahead of the snapshot's) and the renumbered
+/// recovery buffer to replay.
 struct BundleSeed {
     live_highwater: Vec<(u64, u64)>,
     live_stats: QueueStats,
     recovery: Vec<WorkItem>,
-    replay_ticks: u64,
 }
 
 /// Builds one tenant slot from the state directory: resume from the
@@ -982,11 +981,10 @@ fn build_slot(
     if let Some(seed) = seed {
         queue.seed_highwater(seed.live_highwater);
         queue.seed_stats(seed.live_stats);
-        // The replay completes ticks 1..=replay_ticks; marking them
-        // issued makes the next end_tick wait for the replay to settle.
-        queue.seed_ticks(seed.replay_ticks);
+        // The queue keeps the replay as its recovery buffer until the
+        // first snapshot, and the next end_tick waits for it to settle.
+        initial_ticks = queue.seed_replay(seed.recovery.clone());
         recovery = seed.recovery;
-        initial_ticks = seed.replay_ticks;
     }
     let log_path = decision_log_path(&cfg.decisions_dir, id);
     truncate_decision_log(&log_path, round)?;
@@ -1733,11 +1731,6 @@ fn install_bundle(ctx: &FleetCtx, bundle: MigrationBundle) -> Result<(), Migrate
         write_tenant_state(&path, &bundle.state_bytes)
             .map_err(|e| MigrateError::Mismatch(format!("state write: {e}")))?;
     }
-    let replay_ticks = bundle
-        .replay
-        .iter()
-        .filter(|i| matches!(i, WorkItem::TickEnd(_)))
-        .count() as u64;
     let (core, route) = build_slot(
         cfg,
         tenant,
@@ -1745,7 +1738,6 @@ fn install_bundle(ctx: &FleetCtx, bundle: MigrationBundle) -> Result<(), Migrate
             live_highwater: bundle.live_highwater,
             live_stats: bundle.live_stats,
             recovery: bundle.replay,
-            replay_ticks,
         }),
     )
     .map_err(|e| MigrateError::Mismatch(format!("install: {e}")))?;

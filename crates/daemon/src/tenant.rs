@@ -312,16 +312,9 @@ impl Tenant {
         fnv1a_u64s(&self.trust_bits())
     }
 
-    /// Applies one admitted report: runs the event round and returns the
-    /// decision line.
-    pub fn apply(&mut self, report: &Report) -> String {
-        let mut line = String::new();
-        self.apply_into(report, &mut line);
-        line
-    }
-
-    /// [`Self::apply`] appending the decision line to a caller-owned
-    /// buffer (no trailing newline). The worker's per-record hot path:
+    /// Applies one admitted report: runs the event round and appends
+    /// its decision line to a caller-owned buffer (no trailing
+    /// newline). The worker's per-record hot path:
     /// the round result, trust digest, and line formatting all reuse
     /// scratch buffers, and on the sequential engine the round itself
     /// is allocation-free, so a steady-state apply makes no heap
@@ -422,6 +415,13 @@ mod tests {
         }
     }
 
+    /// The decision line of one applied report.
+    fn apply(tenant: &mut Tenant, report: &Report) -> String {
+        let mut line = String::new();
+        tenant.apply_into(report, &mut line);
+        line
+    }
+
     fn report(seq: u64, x: f64, y: f64) -> Report {
         Report {
             tenant: 0,
@@ -439,8 +439,8 @@ mod tests {
         let mut seq = Tenant::new(0, sc.clone(), EngineKind::Sequential, 1).unwrap();
         let mut par = Tenant::new(0, sc.clone(), EngineKind::Sharded, 2).unwrap();
         for (i, p) in sc.events(6).into_iter().enumerate() {
-            let a = seq.apply(&report(i as u64 + 1, p.x, p.y));
-            let b = par.apply(&report(i as u64 + 1, p.x, p.y));
+            let a = apply(&mut seq, &report(i as u64 + 1, p.x, p.y));
+            let b = apply(&mut par, &report(i as u64 + 1, p.x, p.y));
             assert_eq!(a, b, "round {i}");
             assert!(a.starts_with(&format!("D {} ", i + 1)));
         }
@@ -452,15 +452,15 @@ mod tests {
         let mut live = Tenant::new(0, sc.clone(), EngineKind::Sequential, 1).unwrap();
         let events = sc.events(8);
         for (i, p) in events[..4].iter().enumerate() {
-            live.apply(&report(i as u64 + 1, p.x, p.y));
+            apply(&mut live, &report(i as u64 + 1, p.x, p.y));
         }
         let blob = live.engine_blob().unwrap();
         let mut restored =
             Tenant::from_blob(0, sc.clone(), EngineKind::Sequential, 1, &blob).unwrap();
         assert_eq!(restored.round(), 4);
         for (i, p) in events[4..].iter().enumerate() {
-            let a = live.apply(&report(i as u64 + 5, p.x, p.y));
-            let b = restored.apply(&report(i as u64 + 5, p.x, p.y));
+            let a = apply(&mut live, &report(i as u64 + 5, p.x, p.y));
+            let b = apply(&mut restored, &report(i as u64 + 5, p.x, p.y));
             assert_eq!(a, b);
         }
     }

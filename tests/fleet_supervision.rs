@@ -5,11 +5,12 @@
 
 use std::io::{BufRead, BufReader, Cursor, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use tibfit_daemon::fleet::{owner_of, FleetConfig, FleetPolicy, PeerSpec};
-use tibfit_daemon::{Daemon, DaemonConfig};
+use tibfit_daemon::net_io::ListenSource;
+use tibfit_daemon::{Daemon, DaemonConfig, WorkerFault};
 use tibfit_experiments::replay::{render_replay, replay_records};
 
 const TENANTS: usize = 2;
@@ -142,4 +143,161 @@ fn dead_peer_is_quarantined_and_its_tenants_adopted() {
         assert!(summary.applied > 0, "adopted tenant {t} must apply rounds");
         assert!(!summary.quarantined);
     }
+}
+
+fn free_port() -> u16 {
+    std::net::TcpListener::bind("127.0.0.1:0")
+        .expect("bind :0")
+        .local_addr()
+        .expect("local addr")
+        .port()
+}
+
+fn decisions(state_dir: &Path) -> Vec<String> {
+    (0..TENANTS)
+        .map(|t| {
+            std::fs::read_to_string(state_dir.join("decisions").join(format!("tenant{t}.log")))
+                .expect("decision log exists")
+        })
+        .collect()
+}
+
+/// Sends one fleet-port command line and reads one reply line.
+fn fleet_command(addr: SocketAddr, command: &str) -> String {
+    let stream = TcpStream::connect(addr).expect("fleet port reachable");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut w = &stream;
+    writeln!(w, "{command}").expect("send command");
+    w.flush().expect("flush");
+    let mut line = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut line)
+        .expect("reply line");
+    line.trim_end().to_string()
+}
+
+/// A migrated tenant's worker that panics before its first snapshot on
+/// the destination must be rebuilt from the bundle's state *and* its
+/// replay: the bundle's replay belongs in the queue's recovery buffer
+/// from the moment of install, not only the ticks the destination
+/// issues itself.
+#[test]
+fn migrated_worker_failing_before_its_first_snapshot_replays_the_bundle() {
+    const PHASE_TICKS: u64 = 8;
+    const PER_TICK: u32 = 2;
+    let root = fresh_dir("migrate-fault");
+    let seed = 61u64;
+    let text = render_replay(&replay_records(TENANTS, seed, 2 * PHASE_TICKS, PER_TICK));
+    let mut phases = vec![String::new()];
+    let mut ticks = 0;
+    for line in text.lines() {
+        let phase = phases.last_mut().expect("a phase");
+        phase.push_str(line);
+        phase.push('\n');
+        if line == "T" {
+            ticks += 1;
+            if ticks == PHASE_TICKS {
+                phases.push(String::new());
+            }
+        }
+    }
+
+    let mut reference = Daemon::new(DaemonConfig::standard(TENANTS, seed, root.join("ref")))
+        .expect("reference daemon");
+    reference
+        .run(Cursor::new(text.clone()))
+        .expect("reference run");
+    let want = decisions(&root.join("ref"));
+
+    // Daemon 0 owns every tenant while both are alive; tenant 0 moves
+    // to daemon 1 after phase 1. Its last snapshot on daemon 0 was at
+    // tick 4, so the bundle carries ticks 5..=8 as replay, and the
+    // destination's first incarnation panics on the first live record
+    // after that replay, before its own first snapshot.
+    let fleet_seed = (0..10_000u64)
+        .find(|&s| (0..TENANTS).all(|t| owner_of(s, t, &[0, 1]) == Some(0)))
+        .expect("some seed places everything on daemon 0");
+    let fleet_ports = [free_port(), free_port()];
+    let shared = root.join("fleet");
+    let servers: Vec<_> = (0..2usize)
+        .map(|id| {
+            let mut cfg = DaemonConfig::standard(TENANTS, seed, shared.clone());
+            cfg.fleet = Some(FleetConfig {
+                id,
+                peers: vec![PeerSpec {
+                    id: 1 - id,
+                    addr: format!("127.0.0.1:{}", fleet_ports[1 - id]),
+                }],
+                seed: fleet_seed,
+                listen: format!("127.0.0.1:{}", fleet_ports[id]),
+                linger_ms: 200,
+                catchup_replay: None,
+                policy: FleetPolicy {
+                    grace_ms: 3_600_000,
+                    ..FleetPolicy::default()
+                },
+            });
+            if id == 1 {
+                cfg.faults = vec![(
+                    0,
+                    WorkerFault {
+                        panic_at_round: Some(PHASE_TICKS * u64::from(PER_TICK) + 1),
+                        fail_incarnations: 1,
+                        ..WorkerFault::default()
+                    },
+                )];
+            }
+            let source = ListenSource::bind("127.0.0.1:0", Some(1)).expect("ingest listener");
+            let ingest = source.local_addr().expect("ingest addr");
+            let mut daemon = Daemon::new(cfg).expect("fleet daemon");
+            let server = std::thread::spawn(move || daemon.run(source).expect("fleet run"));
+            (ingest, server)
+        })
+        .collect();
+
+    let mut ingest0 = TcpStream::connect(servers[0].0).expect("ingest 0");
+    ingest0.write_all(phases[0].as_bytes()).expect("phase 1");
+    ingest0.flush().expect("flush phase 1");
+    // Migrate only once daemon 0 has decided all of phase 1: records
+    // still in flight when the route goes would be dropped as foreign.
+    let phase_rounds = (PHASE_TICKS * u64::from(PER_TICK)) as usize;
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while (0..TENANTS).any(|t| {
+        std::fs::read_to_string(shared.join("decisions").join(format!("tenant{t}.log")))
+            .map_or(0, |log| log.lines().count())
+            < phase_rounds
+    }) {
+        assert!(std::time::Instant::now() < deadline, "phase 1 was never decided");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let reply = fleet_command(SocketAddr::from(([127, 0, 0, 1], fleet_ports[0])), "MIGRATE 0 1");
+    assert!(reply.starts_with("MOK"), "migration must succeed: {reply:?}");
+
+    // Phase 2 goes to both daemons; each decides the tenant it hosts
+    // and drops the other's records as foreign.
+    let mut ingest1 = TcpStream::connect(servers[1].0).expect("ingest 1");
+    for stream in [&mut ingest0, &mut ingest1] {
+        stream.write_all(phases[1].as_bytes()).expect("phase 2");
+        stream.flush().expect("flush phase 2");
+    }
+    drop(ingest0);
+    drop(ingest1);
+    let reports: Vec<_> = servers
+        .into_iter()
+        .map(|(_, server)| server.join().expect("daemon thread"))
+        .collect();
+    let moved = reports[1]
+        .tenants
+        .iter()
+        .find(|s| s.id == 0)
+        .expect("daemon 1 hosts the migrated tenant");
+    assert_eq!(moved.restarts, 1, "the injected panic restarts the worker once");
+    assert!(!moved.quarantined);
+    assert_eq!(
+        want,
+        decisions(&shared),
+        "a restart before the first snapshot must not lose the bundle's replay"
+    );
 }
